@@ -460,8 +460,9 @@ func (f *FS) Geometry() (deviceBytes, factBytes, dataBytes int64) {
 }
 
 // SetLingerHook observes each DWQ node's queue residence time (Fig. 10).
-// Must be set before writes begin. The hook composes with the metrics
-// queue-wait histogram; both observe every dequeue.
+// Safe while the daemon runs; set it before writes begin to see every
+// node. The hook composes with the metrics queue-wait histogram; both
+// observe every dequeue.
 func (f *FS) SetLingerHook(h func(time.Duration)) {
 	if f.engine != nil {
 		f.engine.SetLingerHook(h)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"denova/internal/fact"
 	"denova/internal/nova"
+	"denova/internal/obs"
 	"denova/internal/pmem"
 )
 
@@ -159,11 +161,73 @@ func TestDWQFIFO(t *testing.T) {
 func TestDWQLingerHook(t *testing.T) {
 	q := NewDWQ()
 	var lingers []time.Duration
-	q.LingerHook = func(d time.Duration) { lingers = append(lingers, d) }
+	q.SetLingerHook(func(d time.Duration) { lingers = append(lingers, d) })
 	q.Enqueue(Node{Ino: 1, Enqueued: time.Now().Add(-time.Second)})
 	q.DequeueBatch(0)
 	if len(lingers) != 1 || lingers[0] < 900*time.Millisecond {
 		t.Fatalf("lingers = %v", lingers)
+	}
+}
+
+// TestSetLingerHookWhileDaemonRuns is the regression test for the hook
+// being a plain field: FS.SetLingerHook runs after Mkfs has started the
+// daemon, so the store raced with the load in DequeueBatch. Under -race it
+// installs hooks while a writer enqueues and the pool dequeues, then checks
+// the composition survived: the obs histogram saw every dequeue, and the
+// last user hook saw the nodes dequeued after it was installed.
+func TestSetLingerHookWhileDaemonRuns(t *testing.T) {
+	r := newRig(t)
+	o := NewObserver(obs.NewRegistry(), nil, false)
+	r.engine.SetObserver(o)
+	d := NewDaemon(r.engine, DaemonConfig{Workers: 2})
+	d.Start()
+	defer d.Stop()
+
+	in, err := r.fs.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(seed byte) error {
+		_, err := r.fs.Write(in, 0, pages(seed), nova.FlagNeeded)
+		return err
+	}
+	const writes = 300
+	writerDone := make(chan error, 1)
+	go func() {
+		for i := 0; i < writes; i++ {
+			if err := write(byte(i)); err != nil {
+				writerDone <- err
+				return
+			}
+		}
+		writerDone <- nil
+	}()
+	var calls atomic.Int64
+	hook := func(time.Duration) { calls.Add(1) }
+	for installing := true; installing; {
+		select {
+		case err := <-writerDone:
+			if err != nil {
+				t.Fatal(err)
+			}
+			installing = false
+		default:
+			r.engine.SetLingerHook(hook)
+			r.engine.SetLingerHook(nil)
+		}
+	}
+	d.WaitIdle()
+	calls.Store(0)
+	r.engine.SetLingerHook(hook)
+	if err := write(1); err != nil {
+		t.Fatal(err)
+	}
+	d.WaitIdle()
+	if got := calls.Load(); got != 1 {
+		t.Errorf("user hook saw %d dequeues after install, want 1", got)
+	}
+	if _, deq := r.engine.DWQ().Counts(); o.QueueWait.Count() != deq || deq != writes+1 {
+		t.Errorf("dedup.queue_wait observed %d of %d dequeues (%d writes)", o.QueueWait.Count(), deq, writes+1)
 	}
 }
 

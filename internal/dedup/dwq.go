@@ -78,10 +78,22 @@ type DWQ struct {
 	waitCond *sync.Cond
 	wakeGen  uint64 // under waitMu: bumped by WakeAll so waiters re-check stop conditions
 
-	// LingerHook, when set, observes each dequeued node's time in queue
+	// lingerHook, when set, observes each dequeued node's time in queue
 	// (enqueue→dequeue), the Fig. 10 metric. May be called concurrently
-	// from every consumer goroutine.
-	LingerHook func(d time.Duration)
+	// from every consumer goroutine. Atomic because it is installed while
+	// the daemon is already dequeuing (see SetLingerHook).
+	lingerHook atomic.Pointer[func(d time.Duration)]
+}
+
+// SetLingerHook installs (or, with nil, removes) the linger observer. Safe
+// to call while consumers are running: each DequeueBatch loads the hook
+// once, so a batch sees either the old hook or the new one.
+func (q *DWQ) SetLingerHook(h func(d time.Duration)) {
+	if h == nil {
+		q.lingerHook.Store(nil)
+		return
+	}
+	q.lingerHook.Store(&h)
 }
 
 // defaultDWQShards bounds the shard count: enough for one shard per worker
@@ -188,10 +200,10 @@ func (q *DWQ) DequeueBatch(m int) []Node {
 		atomic.AddInt64(&q.total, -int64(len(out)))
 		atomic.AddInt64(&q.totalDeq, int64(len(out)))
 	}
-	if q.LingerHook != nil {
+	if h := q.lingerHook.Load(); h != nil {
 		now := time.Now()
 		for _, n := range out {
-			q.LingerHook(now.Sub(n.Enqueued))
+			(*h)(now.Sub(n.Enqueued))
 		}
 	}
 	return out

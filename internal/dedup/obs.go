@@ -53,7 +53,9 @@ func (e *Engine) SetObserver(o *Observer) {
 
 // SetLingerHook installs the user-facing queue-residence observer (the
 // harness linger CDF), composing with the observability histogram rather
-// than displacing it. Set before writes begin.
+// than displacing it. Safe to call while the daemon is running (the DWQ
+// publishes the hook atomically); nodes dequeued before the call are not
+// observed, so set it before writes begin to see every one.
 func (e *Engine) SetLingerHook(h func(d time.Duration)) {
 	e.userLinger = h
 	e.rewireLinger()
@@ -62,15 +64,15 @@ func (e *Engine) SetLingerHook(h func(d time.Duration)) {
 func (e *Engine) rewireLinger() {
 	o, user := e.obs, e.userLinger
 	if o == nil {
-		e.dwq.LingerHook = user
+		e.dwq.SetLingerHook(user)
 		return
 	}
-	e.dwq.LingerHook = func(d time.Duration) {
+	e.dwq.SetLingerHook(func(d time.Duration) {
 		o.QueueWait.Observe(d)
 		if user != nil {
 			user(d)
 		}
-	}
+	})
 }
 
 // Observer returns the engine's installed observer (nil when none).

@@ -153,10 +153,10 @@ func TestBenchReportGolden(t *testing.T) {
 
 func TestBenchSlug(t *testing.T) {
 	cases := map[string]string{
-		"DeNOVA-Immediate":      "denova-immediate",
+		"DeNOVA-Immediate":          "denova-immediate",
 		"DeNOVA-Delayed(750,20000)": "denova-delayed-750-20000",
-		"Baseline NOVA":         "baseline-nova",
-		"dup50-4m":              "dup50-4m",
+		"Baseline NOVA":             "baseline-nova",
+		"dup50-4m":                  "dup50-4m",
 	}
 	for in, want := range cases {
 		if got := benchSlug(in); got != want {
@@ -189,9 +189,9 @@ func TestTracingOffOverheadGate(t *testing.T) {
 		pages  = 2000
 		rounds = 5
 
-		bareFS = iota - 2 // no observer at all
-		traceOff          // observer, TraceOff
-		traceOffCapture   // observer, TraceOff, slow-span capture armed
+		bareFS          = iota - 2 // no observer at all
+		traceOff                   // observer, TraceOff
+		traceOffCapture            // observer, TraceOff, slow-span capture armed
 	)
 	data := make([]byte, 4096)
 	for i := range data {
@@ -230,12 +230,16 @@ func TestTracingOffOverheadGate(t *testing.T) {
 		off = append(off, run(traceOff))
 		cap = append(cap, run(traceOffCapture))
 	}
-	med := func(ds []time.Duration) time.Duration {
+	// Best of the rounds, not their median: interference from a parallel
+	// `go test ./...` only ever adds time, so the minimum is the estimate of
+	// each variant's own cost that a busy box cannot inflate. The 1.5x band
+	// is unchanged.
+	best := func(ds []time.Duration) time.Duration {
 		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		return ds[len(ds)/2]
+		return ds[0]
 	}
-	mb, mo, mc := med(bare), med(off), med(cap)
-	t.Logf("bare median %v, TraceOff median %v (%.1f%%), TraceOff+capture median %v (%.1f%%)",
+	mb, mo, mc := best(bare), best(off), best(cap)
+	t.Logf("bare best %v, TraceOff best %v (%.1f%%), TraceOff+capture best %v (%.1f%%)",
 		mb, mo, float64(mo-mb)/float64(mb)*100, mc, float64(mc-mb)/float64(mb)*100)
 	if mo > mb*3/2 {
 		t.Errorf("TraceOff instrumentation overhead out of noise band: bare %v vs instrumented %v", mb, mo)

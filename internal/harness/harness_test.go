@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -133,22 +134,37 @@ func TestMeasureTfTwShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock fingerprint-cost comparison is meaningless under race instrumentation")
 	}
-	rows := MeasureTfTw([]int{4096, 65536}, 20, pmem.ProfileOptane)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	// The hash times are wall clock over a few hundred microseconds, so one
+	// preemption under a parallel `go test ./...` can invert a comparison.
+	// A measurement that fails is repeated, up to three in all; the shape
+	// must hold in one of them, at the thresholds it always had.
+	var failures []string
+	for attempt := 0; attempt < 3; attempt++ {
+		rows := MeasureTfTw([]int{4096, 65536}, 20, pmem.ProfileOptane)
+		if len(rows) != 2 {
+			t.Fatalf("rows = %d", len(rows))
+		}
+		failures = failures[:0]
+		for _, r := range rows {
+			// The paper's central claim: T_f exceeds T_w at every size (Eq. 1).
+			if r.Tf <= r.Tw {
+				failures = append(failures, fmt.Sprintf("size %d: T_f (%v) <= T_w (%v); Eq. 1 violated", r.WriteSize, r.Tf, r.Tw))
+			}
+			if r.TfShare() <= 0.5 {
+				failures = append(failures, fmt.Sprintf("size %d: T_f share %.2f <= 0.5", r.WriteSize, r.TfShare()))
+			}
+			// The weak fingerprint must be far cheaper than the strong one.
+			if r.Tfw >= r.Tf {
+				failures = append(failures, fmt.Sprintf("size %d: weak FP (%v) not cheaper than strong (%v)", r.WriteSize, r.Tfw, r.Tf))
+			}
+		}
+		if len(failures) == 0 {
+			return
+		}
+		t.Logf("attempt %d: %v", attempt+1, failures)
 	}
-	for _, r := range rows {
-		// The paper's central claim: T_f exceeds T_w at every size (Eq. 1).
-		if r.Tf <= r.Tw {
-			t.Errorf("size %d: T_f (%v) <= T_w (%v); Eq. 1 violated", r.WriteSize, r.Tf, r.Tw)
-		}
-		if r.TfShare() <= 0.5 {
-			t.Errorf("size %d: T_f share %.2f <= 0.5", r.WriteSize, r.TfShare())
-		}
-		// The weak fingerprint must be far cheaper than the strong one.
-		if r.Tfw >= r.Tf {
-			t.Errorf("size %d: weak FP (%v) not cheaper than strong (%v)", r.WriteSize, r.Tfw, r.Tf)
-		}
+	for _, f := range failures {
+		t.Error(f)
 	}
 }
 

@@ -14,6 +14,7 @@
 package client
 
 import (
+	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
@@ -108,8 +109,9 @@ func (c *Client) Close() error { return c.conn.Close() }
 // every future call) gets the error.
 func (c *Client) readLoop() {
 	var fatal error
+	br := bufio.NewReader(c.conn)
 	for {
-		payload, err := wire.ReadFrame(c.conn)
+		payload, err := wire.ReadFrame(br)
 		if err != nil {
 			fatal = fmt.Errorf("denova client: connection lost: %w", err)
 			break

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"denova"
@@ -19,6 +20,13 @@ type task struct {
 	sc       obs.SpanContext // server-side root span
 	arrival  time.Time       // frame decoded on the reader
 	enqueued time.Time       // admitted onto the shard queue
+}
+
+// shard is one worker's FIFO queue plus the count of tasks admitted to it
+// and not yet finished, which is what lets a reader prove the shard idle.
+type shard struct {
+	q       chan task
+	pending atomic.Int32
 }
 
 func defaultWorkers() int {
@@ -66,59 +74,65 @@ func pageNames(names []string, cookie uint32, page int) ([]string, uint32) {
 }
 
 // worker drains one queue FIFO, preserving per-shard (and therefore
-// per-file) order, and records each op's latency in serve.op.<name>.
-func (s *Server) worker(q chan task) {
+// per-file) order.
+func (s *Server) worker(sh *shard) {
 	defer s.workerWG.Done()
-	for t := range q {
-		start := time.Now()
-		if t.sc.Valid() {
-			s.tracer.EmitSpan(obs.OpServeQueue, s.tracer.StartChild(t.sc), t.sc.Span,
-				uint64(t.req.Handle), uint64(t.req.Op), t.enqueued, start.Sub(t.enqueued))
+	for t := range sh.q {
+		s.run(&t)
+		sh.pending.Add(-1)
+	}
+}
+
+// run takes one admitted request to completion on the calling goroutine —
+// a shard worker or the connection's reader: execute, record the op's
+// latency in serve.op.<name>, encode, reply.
+func (s *Server) run(t *task) {
+	start := time.Now()
+	if t.sc.Valid() {
+		s.tracer.EmitSpan(obs.OpServeQueue, s.tracer.StartChild(t.sc), t.sc.Span,
+			uint64(t.req.Handle), uint64(t.req.Op), t.enqueued, start.Sub(t.enqueued))
+	}
+	if d := s.cfg.ExecDelay; d != nil {
+		if dd := d(t.req); dd > 0 {
+			time.Sleep(dd)
 		}
-		if d := s.cfg.ExecDelay; d != nil {
-			if dd := d(t.req); dd > 0 {
-				time.Sleep(dd)
-			}
-		}
-		resp := s.exec(t.req, t.sc)
-		execDur := time.Since(start)
-		// Exec-only duration, as before; the trace id rides along as the
-		// histogram's latency exemplar so a p99 bucket names a trace.
-		s.opHists[t.req.Op].ObserveSpan(execDur, t.sc.Trace)
-		if t.sc.Valid() {
-			s.tracer.EmitSpan(obs.OpServeExec, s.tracer.StartChild(t.sc), t.sc.Span,
-				uint64(t.req.Handle), uint64(resp.Status), start, execDur)
-		}
-		frame, err := wire.EncodeResponse(resp)
-		if err != nil {
+	}
+	resp, frame := s.exec(t.req, t.sc)
+	execDur := time.Since(start)
+	// Exec-only duration, as before; the trace id rides along as the
+	// histogram's latency exemplar so a p99 bucket names a trace.
+	s.opHists[t.req.Op].ObserveSpan(execDur, t.sc.Trace)
+	if t.sc.Valid() {
+		s.tracer.EmitSpan(obs.OpServeExec, s.tracer.StartChild(t.sc), t.sc.Span,
+			uint64(t.req.Handle), uint64(resp.Status), start, execDur)
+	}
+	if frame == nil {
+		var err error
+		if frame, err = wire.EncodeResponse(resp); err != nil {
 			// An unencodable success body (cannot happen with the size
 			// caps in exec) degrades to a bare error response.
 			frame, _ = wire.EncodeResponse(&wire.Response{
 				ID: resp.ID, Op: resp.Op, Status: wire.StatusIO, Msg: "response encoding failed",
 			})
 		}
-		of := outFrame{frame: frame}
-		if t.sc.Valid() {
-			of.sc, of.parent, of.op = t.sc, t.req.Span, t.req.Op
-			of.handle = uint64(t.req.Handle)
-			of.arrival, of.wstart = t.arrival, time.Now()
-		}
-		t.sess.send(of)
-		s.inflight.Add(-1)
 	}
+	s.reply(t, frame)
+	s.inflight.Add(-1)
 }
 
 // exec runs one request against the FS and builds the response. Every
 // error path maps through wire.StatusOf, so the taxonomy on the wire is
 // exactly the public denova taxonomy. The span context flows into the FS
 // data ops, making nova spans (and the dedup work a write enqueues)
-// children of this request's trace.
-func (s *Server) exec(req *wire.Request, sc obs.SpanContext) *wire.Response {
-	resp := &wire.Response{ID: req.ID, Op: req.Op}
-	fail := func(err error) *wire.Response {
+// children of this request's trace. A successful READ comes back already
+// encoded (frame non-nil): the file data is read straight into the reply
+// frame, the one data-sized allocation of the request.
+func (s *Server) exec(req *wire.Request, sc obs.SpanContext) (resp *wire.Response, frame []byte) {
+	resp = &wire.Response{ID: req.ID, Op: req.Op}
+	fail := func(err error) (*wire.Response, []byte) {
 		resp.Status = wire.StatusOf(err)
 		resp.Msg = err.Error()
-		return resp
+		return resp, nil
 	}
 	switch req.Op {
 	case wire.OpLookup:
@@ -144,12 +158,12 @@ func (s *Server) exec(req *wire.Request, sc obs.SpanContext) *wire.Response {
 		if req.Size > maxReadSize {
 			return fail(wire.StatusInvalid.Err("read length exceeds frame budget"))
 		}
-		buf := make([]byte, req.Size)
-		n, err := f.ReadAtSpan(buf, off, sc)
+		frame = make([]byte, wire.ReadRespHeader+req.Size)
+		n, err := f.ReadAtSpan(frame[wire.ReadRespHeader:], off, sc)
 		if err != nil {
 			return fail(err)
 		}
-		resp.Data = buf[:n]
+		return resp, wire.EncodeReadResponse(frame, req.ID, n)
 	case wire.OpWrite:
 		f, off, err := s.resolve(req)
 		if err != nil {
@@ -197,7 +211,7 @@ func (s *Server) exec(req *wire.Request, sc obs.SpanContext) *wire.Response {
 	default:
 		return fail(wire.StatusInvalid.Err("unknown op"))
 	}
-	return resp
+	return resp, nil
 }
 
 // resolve turns a handle op's (handle, off) pair into an open file and a

@@ -15,6 +15,13 @@
 //     by handle (path ops by path hash) onto a fixed worker pool, and each
 //     worker drains its queue FIFO.
 //
+//   - Run to completion. When a connection has nothing further buffered
+//     (the client is not pipelining) and the request's shard has no queued
+//     or running task, nothing can be reordered, so the connection's reader
+//     executes the op and writes the reply itself instead of paying two
+//     goroutine hand-offs. COMMIT always takes the pool: its drain is
+//     unbounded and the reader must keep admitting and shedding meanwhile.
+//
 //   - Admission control. A global in-flight cap plus bounded per-worker
 //     queues; when either would overflow, the request is shed immediately
 //     with StatusRetry instead of queueing without bound. Sheds, admissions
@@ -24,6 +31,7 @@
 package server
 
 import (
+	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -81,12 +89,13 @@ type Server struct {
 	cfg Config
 
 	ln     net.Listener
-	queues []chan task
+	shards []shard
 	closed atomic.Bool
 
 	inflight   atomic.Int64
 	inflightG  *obs.Gauge
 	admitted   *obs.Counter
+	inline     *obs.Counter // admitted ops run on the connection's reader
 	shed       *obs.Counter
 	protoErrs  *obs.Counter
 	connsG     *obs.Gauge
@@ -114,6 +123,7 @@ func New(fs *denova.FS, cfg Config) *Server {
 	}
 	reg := fs.Registry()
 	s.admitted = reg.Counter("serve.admitted")
+	s.inline = reg.Counter("serve.inline")
 	s.shed = reg.Counter("serve.shed")
 	s.protoErrs = reg.Counter("serve.proto_errors")
 	s.inflightG = reg.Gauge("serve.inflight")
@@ -134,11 +144,11 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.queues = make([]chan task, s.cfg.Workers)
-	for i := range s.queues {
-		s.queues[i] = make(chan task, s.cfg.QueueDepth)
+	s.shards = make([]shard, s.cfg.Workers)
+	for i := range s.shards {
+		s.shards[i].q = make(chan task, s.cfg.QueueDepth)
 		s.workerWG.Add(1)
-		go s.worker(s.queues[i])
+		go s.worker(&s.shards[i])
 	}
 	s.acceptDone = make(chan struct{})
 	go s.acceptLoop()
@@ -166,14 +176,14 @@ func (s *Server) Close() error {
 	}
 	s.mu.Lock()
 	for sess := range s.sessions {
-		sess.close()
+		sess.conn.Close()
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
 	// No readers remain, so no new tasks can be enqueued: closing the
 	// queues lets each worker finish its backlog and exit.
-	for _, q := range s.queues {
-		close(q)
+	for i := range s.shards {
+		close(s.shards[i].q)
 	}
 	s.workerWG.Wait()
 	return nil
@@ -195,51 +205,18 @@ func (s *Server) acceptLoop() {
 }
 
 // session is one client connection: a reader goroutine (frames → admission
-// → scheduler) and a writer goroutine (response frames → socket). Workers
-// hand finished responses to the writer via out; done unblocks them when
-// the connection dies so a dead client can never wedge the pool.
+// → run inline or schedule). Whoever finishes an op — the reader or a shard
+// worker — writes the reply itself under wmu. A dead or stalled client
+// blocks that write in the socket; conn.Close (readLoop exit, Server.Close)
+// unblocks it, so a dead client can never wedge the pool.
 type session struct {
-	conn      net.Conn
-	out       chan outFrame
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-// outFrame is one finished response heading to the writer goroutine,
-// carrying the span state the writer needs to close the request's root
-// span at the moment the reply actually leaves. All span fields are zero
-// for untraced requests, so the writer does no extra work at TraceOff.
-type outFrame struct {
-	frame   []byte
-	sc      obs.SpanContext // server-side root span of the request
-	parent  uint64          // client's span id (0: client sent no context)
-	op      wire.Op
-	handle  uint64
-	arrival time.Time // frame decoded on the reader goroutine
-	wstart  time.Time // response handed to the writer (reply span start)
-}
-
-func (sess *session) close() {
-	sess.closeOnce.Do(func() {
-		close(sess.done)
-		sess.conn.Close()
-	})
-}
-
-// send enqueues a response frame, dropping it if the session is gone.
-func (sess *session) send(of outFrame) {
-	select {
-	case sess.out <- of:
-	case <-sess.done:
-	}
+	conn net.Conn
+	br   *bufio.Reader // reader goroutine only
+	wmu  sync.Mutex    // serializes reply frames onto conn
 }
 
 func (s *Server) handleConn(c net.Conn) {
-	sess := &session{
-		conn: c,
-		out:  make(chan outFrame, s.cfg.QueueDepth),
-		done: make(chan struct{}),
-	}
+	sess := &session{conn: c, br: bufio.NewReader(c)}
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
@@ -255,48 +232,43 @@ func (s *Server) handleConn(c net.Conn) {
 		s.mu.Unlock()
 		s.connsG.Store(s.conns.Add(-1))
 	}()
-
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		for {
-			select {
-			case of := <-sess.out:
-				if err := wire.WriteFrame(c, of.frame); err != nil {
-					sess.close()
-					return
-				}
-				if of.sc.Valid() {
-					// Close the request's spans only once the reply has hit
-					// the socket: the reply span covers writer-queue + write,
-					// the root serve.op.<name> span covers arrival → reply
-					// and is what the slow-op capture judges.
-					now := time.Now()
-					s.tracer.EmitSpan(obs.OpServeReply, s.tracer.StartChild(of.sc), of.sc.Span,
-						of.handle, uint64(len(of.frame)), of.wstart, now.Sub(of.wstart))
-					total := now.Sub(of.arrival)
-					s.tracer.EmitSpan(wireOpSpan[of.op], of.sc, of.parent,
-						of.handle, uint64(len(of.frame)), of.arrival, total)
-					s.tracer.JudgeSlow(of.sc, total)
-				}
-			case <-sess.done:
-				return
-			}
-		}
-	}()
-
 	s.readLoop(sess)
-	sess.close()
-	writerWG.Wait()
+	c.Close()
 }
 
-// readLoop decodes frames and either sheds or schedules them. A framing or
+// reply writes one finished response frame and then, for a traced request,
+// closes its spans: only once the reply has hit the socket, so the reply
+// span covers write-lock wait + write and the root serve.op.<name> span
+// covers arrival → reply and is what the slow-op capture judges.
+func (s *Server) reply(t *task, frame []byte) {
+	var wstart time.Time
+	if t.sc.Valid() {
+		wstart = time.Now()
+	}
+	t.sess.wmu.Lock()
+	err := wire.WriteFrame(t.sess.conn, frame)
+	t.sess.wmu.Unlock()
+	if err != nil {
+		t.sess.conn.Close()
+		return
+	}
+	if t.sc.Valid() {
+		now := time.Now()
+		s.tracer.EmitSpan(obs.OpServeReply, s.tracer.StartChild(t.sc), t.sc.Span,
+			uint64(t.req.Handle), uint64(len(frame)), wstart, now.Sub(wstart))
+		total := now.Sub(t.arrival)
+		s.tracer.EmitSpan(wireOpSpan[t.req.Op], t.sc, t.req.Span,
+			uint64(t.req.Handle), uint64(len(frame)), t.arrival, total)
+		s.tracer.JudgeSlow(t.sc, total)
+	}
+}
+
+// readLoop decodes frames and sheds, runs or schedules them. A framing or
 // decode error is a protocol violation: without a trustworthy request id
 // there is nothing to respond to, so the connection is dropped.
 func (s *Server) readLoop(sess *session) {
 	for {
-		payload, err := wire.ReadFrame(sess.conn)
+		payload, err := wire.ReadFrame(sess.br)
 		if err != nil {
 			return // EOF, connection closed, or hostile length word
 		}
@@ -309,10 +281,11 @@ func (s *Server) readLoop(sess *session) {
 	}
 }
 
-// dispatch applies admission control and routes the request to its worker.
-// Every request is attributed to a tenant (0 = unattributed) and, when
-// tracing is on, opens a server root span — adopting the client's trace id
-// from the wire extension when one arrived, minting a fresh one otherwise.
+// dispatch applies admission control and either runs the request on this
+// (the reader) goroutine or routes it to its worker. Every request is
+// attributed to a tenant (0 = unattributed) and, when tracing is on, opens
+// a server root span — adopting the client's trace id from the wire
+// extension when one arrived, minting a fresh one otherwise.
 func (s *Server) dispatch(sess *session, req *wire.Request) {
 	tenant := s.tenantOf(req)
 	ts := s.tenants.get(s, tenant)
@@ -320,55 +293,59 @@ func (s *Server) dispatch(sess *session, req *wire.Request) {
 	if req.Op == wire.OpWrite {
 		ts.bytes.Add(int64(len(req.Data)))
 	}
-	sc := s.tracer.Adopt(req.Trace, tenant)
-	var arrival time.Time
-	if sc.Valid() {
-		arrival = time.Now()
+	t := task{sess: sess, req: req, sc: s.tracer.Adopt(req.Trace, tenant)}
+	if t.sc.Valid() {
+		t.arrival = time.Now()
 	}
 	if n := s.inflight.Add(1); n > int64(s.cfg.MaxInflight) {
 		s.inflight.Add(-1)
 		ts.shed.Inc()
-		s.shedReq(sess, req, sc, arrival, "server at max in-flight ops")
+		s.shedReq(&t, "server at max in-flight ops")
 		return
 	}
 	s.inflightG.Store(s.inflight.Load())
-	q := s.queues[shardKey(req)%uint64(len(s.queues))]
-	t := task{sess: sess, req: req, sc: sc, arrival: arrival}
-	if sc.Valid() {
+	sh := &s.shards[shardKey(req)%uint64(len(s.shards))]
+	if t.sc.Valid() {
 		t.enqueued = time.Now()
 	}
-	select {
-	case q <- t:
-		s.admitted.Inc()
-		if sc.Valid() {
-			s.tracer.EmitSpan(obs.OpServeAdmit, s.tracer.StartChild(sc), sc.Span,
-				uint64(req.Handle), uint64(req.Op), arrival, t.enqueued.Sub(arrival))
+	// Nothing buffered behind this request and nothing of its shard queued
+	// or running: no later request can overtake it, so run it right here.
+	inline := req.Op != wire.OpCommit && sess.br.Buffered() == 0 && sh.pending.Load() == 0
+	if !inline {
+		sh.pending.Add(1)
+		select {
+		case sh.q <- t:
+		default:
+			sh.pending.Add(-1)
+			s.inflight.Add(-1)
+			ts.shed.Inc()
+			s.shedReq(&t, "worker queue full")
+			return
 		}
-	default:
-		s.inflight.Add(-1)
-		ts.shed.Inc()
-		s.shedReq(sess, req, sc, arrival, "worker queue full")
+	}
+	s.admitted.Inc()
+	if t.sc.Valid() {
+		s.tracer.EmitSpan(obs.OpServeAdmit, s.tracer.StartChild(t.sc), t.sc.Span,
+			uint64(req.Handle), uint64(req.Op), t.arrival, t.enqueued.Sub(t.arrival))
+	}
+	if inline {
+		s.inline.Inc()
+		s.run(&t)
 	}
 }
 
 // shedReq answers a request with StatusRetry without consuming a worker.
 // A traced shed still closes its root span (with the shed reason's tiny
 // duration), so per-tenant shed storms are visible in traces too.
-func (s *Server) shedReq(sess *session, req *wire.Request, sc obs.SpanContext, arrival time.Time, why string) {
+func (s *Server) shedReq(t *task, why string) {
 	s.shed.Inc()
 	frame, err := wire.EncodeResponse(&wire.Response{
-		ID: req.ID, Op: req.Op, Status: wire.StatusRetry, Msg: why,
+		ID: t.req.ID, Op: t.req.Op, Status: wire.StatusRetry, Msg: why,
 	})
 	if err != nil {
 		return // cannot happen: fixed-shape response
 	}
-	of := outFrame{frame: frame}
-	if sc.Valid() {
-		of.sc, of.parent, of.op = sc, req.Span, req.Op
-		of.handle = uint64(req.Handle)
-		of.arrival, of.wstart = arrival, time.Now()
-	}
-	sess.send(of)
+	s.reply(t, frame)
 }
 
 // shardKey partitions requests so that all ops against one object land on

@@ -18,8 +18,9 @@ import (
 //
 //	serve.admission   reader goroutine: decode + admission decision
 //	serve.queue_wait  handle-shard queue residence until a worker dequeues
+//	                  (near zero when the reader runs the op itself)
 //	serve.exec        FS execution (nova spans become grandchildren)
-//	serve.reply       response frame leaving through the writer goroutine
+//	serve.reply       write-lock wait + response frame written to the socket
 //
 // The root span's duration is arrival-to-reply-written, judged against the
 // slow-op capture threshold at reply time; per-op histograms keep their

@@ -331,9 +331,11 @@ func (r *reader) bytes() ([]byte, error) {
 	if int64(n) > int64(r.remain()) {
 		return nil, io.ErrUnexpectedEOF
 	}
-	b := make([]byte, n)
-	copy(b, r.b[r.off:])
-	r.off += int(n)
+	// Alias, not copy; the capacity limit keeps an append to the result
+	// from writing into the rest of the payload.
+	end := r.off + int(n)
+	b := r.b[r.off:end:end]
+	r.off = end
 	return b, nil
 }
 
@@ -397,7 +399,9 @@ func EncodeRequest(req *Request) ([]byte, error) {
 }
 
 // DecodeRequest parses one request payload (the frame minus its length
-// word).
+// word). The request owns payload from here on: Data aliases it rather than
+// copying, so the caller must hand in a buffer nothing else will reuse (as
+// ReadFrame returns) and must not write to it afterwards.
 func DecodeRequest(payload []byte) (*Request, error) {
 	r := &reader{b: payload}
 	id, err := r.u64()
@@ -575,7 +579,8 @@ func EncodeResponse(resp *Response) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeResponse parses one response payload.
+// DecodeResponse parses one response payload. As with DecodeRequest, the
+// response owns payload: Data aliases it.
 func DecodeResponse(payload []byte) (*Response, error) {
 	r := &reader{b: payload}
 	id, err := r.u64()
@@ -662,6 +667,24 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	return resp, r.done()
 }
 
+// ReadRespHeader is the fixed prefix of an OK READ response frame: length
+// word, id, op, status, data length.
+const ReadRespHeader = 4 + 8 + 1 + 1 + 4
+
+// EncodeReadResponse finishes an OK READ response in place, sparing the
+// data-sized copy EncodeResponse would make: the caller allocated frame
+// with ReadRespHeader bytes of headroom and read n bytes of file data into
+// frame[ReadRespHeader:]. The result is byte-identical to EncodeResponse of
+// the same response.
+func EncodeReadResponse(frame []byte, id uint64, n int) []byte {
+	frame = frame[:ReadRespHeader+n]
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	binary.LittleEndian.PutUint64(frame[4:], id)
+	frame[12], frame[13] = byte(OpRead), byte(StatusOK)
+	binary.LittleEndian.PutUint32(frame[14:], uint32(n))
+	return frame
+}
+
 // WriteFrame writes one encoded frame (as returned by EncodeRequest or
 // EncodeResponse) to w.
 func WriteFrame(w io.Writer, frame []byte) error {
@@ -670,7 +693,9 @@ func WriteFrame(w io.Writer, frame []byte) error {
 }
 
 // ReadFrame reads one frame payload from r: the u32 length word, bounds
-// check, then exactly that many bytes.
+// check, then exactly that many bytes. Every call returns a fresh buffer,
+// which the Decode function it is handed to then owns. Callers pass a
+// per-connection bufio.Reader so a small frame costs one read(2), not two.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {

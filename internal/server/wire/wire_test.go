@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"denova"
@@ -280,5 +282,144 @@ func TestStatusErrorMappingBothWays(t *testing.T) {
 	}
 	if err := StatusIO.Err("boom"); err == nil || errors.Is(err, denova.ErrNotFound) {
 		t.Errorf("StatusIO.Err = %v", err)
+	}
+}
+
+// TestDecodedDataIsCapacityLimited: Data aliases the frame payload (no
+// copy), so its capacity must stop at its length — an append by the owner
+// reallocates instead of writing into whatever follows in the payload
+// (here the trace-context extension).
+func TestDecodedDataIsCapacityLimited(t *testing.T) {
+	t.Parallel()
+	req := &Request{ID: 7, Op: OpWrite, Handle: 1, Data: []byte("payload"), Trace: 0xABCD, Span: 0xEF}
+	frame, err := EncodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := append([]byte(nil), frame[4:]...)
+	got, err := DecodeRequest(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Data) != cap(got.Data) {
+		t.Fatalf("decoded Data has len %d, cap %d: an append would write into the payload", len(got.Data), cap(got.Data))
+	}
+	if &got.Data[0] != &payload[8+1+8+8+4] {
+		t.Error("decoded Data does not alias the payload (copied)")
+	}
+	_ = append(got.Data, "overrun!"...)
+	if !bytes.Equal(payload, frame[4:]) {
+		t.Error("append to decoded Data wrote into the rest of the payload")
+	}
+
+	rframe, err := EncodeResponse(&Response{ID: 7, Op: OpRead, Data: []byte("result")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeResponse(rframe[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Data) != cap(resp.Data) || &resp.Data[0] != &rframe[ReadRespHeader] {
+		t.Errorf("response Data: len %d cap %d, aliasing %v", len(resp.Data), cap(resp.Data), &resp.Data[0] == &rframe[ReadRespHeader])
+	}
+}
+
+// TestEncodeReadResponseMatchesEncodeResponse: the in-place READ helper
+// and the general encoder produce the same bytes, full and short reads.
+func TestEncodeReadResponseMatchesEncodeResponse(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(44))
+	for i := 0; i < 500; i++ {
+		asked := rng.Intn(1 << 12)
+		n := asked
+		if rng.Intn(3) == 0 {
+			n = rng.Intn(asked + 1) // short read at EOF, down to nothing
+		}
+		id := rng.Uint64()
+		frame := make([]byte, ReadRespHeader+asked)
+		rng.Read(frame[ReadRespHeader:])
+		want, err := EncodeResponse(&Response{ID: id, Op: OpRead, Data: frame[ReadRespHeader : ReadRespHeader+n]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := EncodeReadResponse(frame, id, n); !bytes.Equal(got, want) {
+			t.Fatalf("asked %d, read %d: in-place frame differs from EncodeResponse", asked, n)
+		}
+	}
+}
+
+// perCall reports f's allocations and allocated bytes per call.
+func perCall(f func()) (allocs float64, bytesPer uint64) {
+	const runs = 200
+	allocs = testing.AllocsPerRun(runs, f)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestReadRoundTripAllocations pins the codec's share of a READ: one
+// data-sized allocation on the server (the reply frame the file is read
+// into) and one on the client (the frame ReadFrame returns, which the
+// decoded Data aliases). Not parallel: AllocsPerRun forbids it.
+func TestReadRoundTripAllocations(t *testing.T) {
+	const size = 64 << 10
+	reqFrame, err := EncodeRequest(&Request{ID: 1, Op: OpRead, Handle: 1, Size: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var respFrame []byte
+	src := bytes.NewReader(nil)
+	br := bufio.NewReader(src)
+	var sink int
+
+	// Server: frame in, decode, read the file into the reply frame, patch.
+	allocs, per := perCall(func() {
+		src.Reset(reqFrame)
+		br.Reset(src)
+		payload, err := ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := DecodeRequest(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := make([]byte, ReadRespHeader+req.Size)
+		respFrame = EncodeReadResponse(frame, req.ID, int(req.Size))
+	})
+	if per < size || per >= 2*size {
+		t.Errorf("server side of a READ allocates %d B for %d B of data, want one data-sized allocation", per, size)
+	}
+	if allocs > 4 { // length word, request payload, Request, reply frame
+		t.Errorf("server side of a READ makes %v allocations, want at most 4", allocs)
+	}
+
+	// Client: reply frame in, decode; Data aliases the frame.
+	allocs, per = perCall(func() {
+		src.Reset(respFrame)
+		br.Reset(src)
+		payload, err := ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink += len(resp.Data)
+	})
+	if per < size || per >= 2*size {
+		t.Errorf("client side of a READ allocates %d B for %d B of data, want one data-sized allocation", per, size)
+	}
+	if allocs > 3 { // length word, reply payload, Response
+		t.Errorf("client side of a READ makes %v allocations, want at most 3", allocs)
+	}
+	if sink == 0 {
+		t.Error("no data decoded")
 	}
 }
