@@ -45,11 +45,13 @@ var fixtureWant = map[string]string{
 	"lockcrashbad.go":        "lockcheck",
 	"atomfieldbad.go":        "atomfieldcheck",
 	"relinkbad.go":           "persistcheck",
+	"linebad.go":             "persistcheck",
+	"lockbatchbad.go":        "lockcheck",
 }
 
 var fixtureClean = []string{
 	"suppressed.go", "intergood.go", "locklevels.go", "atomfieldgood.go",
-	"relinkgood.go",
+	"relinkgood.go", "linegood.go", "lockbatchgood.go",
 }
 
 func TestFixturesTriggerExactlyOneDiagnostic(t *testing.T) {

@@ -267,6 +267,7 @@ func (d *Daemon) worker(id int) {
 	defer d.wg.Done()
 	defer d.recoverCrash()
 	q := d.engine.DWQ()
+	var sc Scratch
 	for {
 		if d.stopped() {
 			return
@@ -292,7 +293,7 @@ func (d *Daemon) worker(id int) {
 		if d.cfg.Interval > 0 && len(nodes) < want {
 			d.unclaim(want - len(nodes))
 		}
-		d.service(id, nodes)
+		d.service(id, nodes, &sc)
 		if d.cfg.Interval == 0 {
 			n := atomic.AddInt64(&d.wakeups, 1)
 			if d.cfg.ScrubEvery > 0 && n%int64(d.cfg.ScrubEvery) == 0 {
@@ -305,7 +306,7 @@ func (d *Daemon) worker(id int) {
 // service processes one batch under the engine's scrub-quiescing read lock
 // and charges the worker's counters. endBusy runs deferred so an injected
 // crash unwinding through ProcessEntry still releases the idle tracking.
-func (d *Daemon) service(id int, nodes []Node) {
+func (d *Daemon) service(id int, nodes []Node, sc *Scratch) {
 	defer d.endBusy()
 	start := time.Now()
 	defer func() {
@@ -324,7 +325,7 @@ func (d *Daemon) service(id int, nodes []Node) {
 	e.quiesce.RLock()
 	defer e.quiesce.RUnlock()
 	for _, node := range nodes {
-		e.ProcessEntry(node)
+		e.ProcessEntry(node, sc)
 	}
 	for _, prefix := range e.table.PendingReorders() {
 		e.table.ReorderChain(prefix)
@@ -374,6 +375,7 @@ func (d *Daemon) waitBusyZero() {
 // consumer against the same sharded queue.
 func (e *Engine) Drain() int {
 	n := 0
+	var sc Scratch
 	for {
 		nodes := e.dwq.DequeueBatch(drainChunk)
 		if len(nodes) == 0 {
@@ -383,7 +385,7 @@ func (e *Engine) Drain() int {
 			e.quiesce.RLock()
 			defer e.quiesce.RUnlock()
 			for _, node := range nodes {
-				e.ProcessEntry(node)
+				e.ProcessEntry(node, &sc)
 				n++
 			}
 			for _, prefix := range e.table.PendingReorders() {

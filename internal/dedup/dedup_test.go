@@ -455,14 +455,14 @@ func TestReprocessingIsIdempotent(t *testing.T) {
 	enq, _ := r.engine.DWQ().Counts()
 	_ = enq
 	node := r.engine.DWQ().DequeueBatch(0)[0]
-	r.engine.ProcessEntry(node)
+	r.engine.ProcessEntry(node, new(Scratch))
 	idx, _ := r.table.DeletePtr(func() uint64 { b, _, _ := in.Mapping(0); return b }())
 	rfcBefore := r.table.RFC(idx)
 
 	// Simulate recovery resetting the flag and re-enqueueing: force the
 	// flag back to needed (as Handling III describes for the target entry).
 	nova.SetDedupeFlag(r.dev, node.EntryOff, nova.FlagNeeded)
-	r.engine.ProcessEntry(node)
+	r.engine.ProcessEntry(node, new(Scratch))
 	if got := r.table.RFC(idx); got != rfcBefore {
 		t.Fatalf("RFC changed on reprocess: %d -> %d", rfcBefore, got)
 	}

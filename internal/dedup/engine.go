@@ -95,11 +95,12 @@ func (e *Engine) Table() *fact.Table { return e.table }
 // FS returns the engine's file system.
 func (e *Engine) FS() *nova.FS { return e.fs }
 
-// Release implements nova.BlockReleaser: the DeNOVA reclaiming path. The
-// FACT entry is found through the delete pointer; the block is freed only
-// when its reference count reaches zero (§IV-C "delete pointer", §IV-D3).
-func (e *Engine) Release(block uint64) bool {
-	return e.table.DecRef(block).FreeBlock
+// Release implements nova.BlockReleaser: the DeNOVA reclaiming path. Each
+// block's FACT entry is found through the delete pointer; a block is freed
+// only when its reference count reaches zero (§IV-C "delete pointer",
+// §IV-D3).
+func (e *Engine) Release(blocks []uint64, free func(block uint64)) {
+	e.table.DecRefBatch(blocks, free)
 }
 
 // pageTxn records one page's position in an open transaction.
@@ -110,6 +111,17 @@ type pageTxn struct {
 	canonical uint64
 	dup       bool
 	aborted   bool
+	entryOff  uint64 // the remapping write entry appended for a duplicate
+}
+
+// Scratch is one dedup consumer's working memory, reused from node to node:
+// the page being fingerprinted and the per-node transaction lists. Each
+// consumer (a daemon worker, a Drain call) owns one; the zero value is ready
+// to use.
+type Scratch struct {
+	chunk  [ChunkSize]byte
+	txns   []pageTxn
+	commit []uint64
 }
 
 // ProcessEntry runs Algorithm 1 for one DWQ node. Returns false if the
@@ -126,7 +138,7 @@ type pageTxn struct {
 //	   dedupe_needed → in_process,
 //	⑥ each UC is transferred to the RFC with one atomic store; flags move
 //	   to dedupe_complete and obsolete duplicate blocks are reclaimed.
-func (e *Engine) ProcessEntry(node Node) bool {
+func (e *Engine) ProcessEntry(node Node, sc *Scratch) bool {
 	// Stage timing (revalidate → fingerprint → fact_txn → remap) plus the
 	// end-to-end dedup.process histogram. The daemon is off the foreground
 	// write path, so stage histograms are always recorded when an observer
@@ -206,8 +218,7 @@ func (e *Engine) ProcessEntry(node Node) bool {
 	stage(obs.OpDedupRevalidate, node.EntryOff)
 
 	// ②③ Fingerprint each still-current page and open FACT transactions.
-	var txns []pageTxn
-	chunk := make([]byte, ChunkSize)
+	txns, chunk := sc.txns[:0], sc.chunk[:]
 	for i := uint64(0); i < uint64(we.NumPages); i++ {
 		pg := we.PgOff + i
 		block, entryOff, mapped := in.Mapping(pg)
@@ -233,15 +244,11 @@ func (e *Engine) ProcessEntry(node Node) bool {
 		}
 		txns = append(txns, pageTxn{pg: pg, block: block, factIdx: res.Idx, canonical: res.Canonical, dup: res.Dup})
 	}
+	sc.txns = txns
 	stage(obs.OpDedupFingerprint, uint64(len(txns)))
 
 	// ④ Append a remapping write entry per duplicate page.
 	size := in.SizeLocked()
-	type appended struct {
-		txn      pageTxn
-		entryOff uint64
-	}
-	var newEntries []appended
 	for i := range txns {
 		txn := &txns[i]
 		if !txn.dup {
@@ -259,7 +266,7 @@ func (e *Engine) ProcessEntry(node Node) bool {
 			txn.aborted = true
 			continue
 		}
-		newEntries = append(newEntries, appended{txn: *txn, entryOff: off})
+		txn.entryOff = off
 	}
 
 	// ⑤ One atomic tail store publishes all appended entries; the target
@@ -269,30 +276,33 @@ func (e *Engine) ProcessEntry(node Node) bool {
 
 	// ⑥ Transfer UC→RFC for every open transaction — batched: one CAS +
 	// flush per counts word, one fence for the whole entry.
-	commitIdxs := make([]uint64, 0, len(txns))
+	commitIdxs := sc.commit[:0]
 	for _, txn := range txns {
 		if txn.aborted {
 			continue
 		}
 		commitIdxs = append(commitIdxs, txn.factIdx)
 	}
+	sc.commit = commitIdxs
 	e.table.CommitTxnBatch(commitIdxs)
 	stage(obs.OpDedupFactTxn, uint64(len(commitIdxs)))
 	// Remap duplicate pages onto their canonical blocks; the shadowed
 	// duplicate copies flow through Release → no FACT entry → freed.
-	for _, ae := range newEntries {
-		e.fs.RemapLocked(in, ae.txn.pg, ae.txn.canonical, ae.entryOff)
-		atomic.AddInt64(&e.stats.PagesDuplicate, 1)
-		atomic.AddInt64(&e.stats.BytesDeduped, ChunkSize)
-		nova.SetDedupeFlag(e.fs.Dev, ae.entryOff, nova.FlagComplete)
-	}
+	remapped := 0
 	for _, txn := range txns {
-		if !txn.dup {
+		switch {
+		case !txn.dup:
 			atomic.AddInt64(&e.stats.PagesUnique, 1)
+		case !txn.aborted:
+			e.fs.RemapLocked(in, txn.pg, txn.canonical, txn.entryOff)
+			atomic.AddInt64(&e.stats.PagesDuplicate, 1)
+			atomic.AddInt64(&e.stats.BytesDeduped, ChunkSize)
+			nova.SetDedupeFlag(e.fs.Dev, txn.entryOff, nova.FlagComplete)
+			remapped++
 		}
 	}
 	nova.SetDedupeFlag(e.fs.Dev, node.EntryOff, nova.FlagComplete)
-	stage(obs.OpDedupRemap, uint64(len(newEntries)))
+	stage(obs.OpDedupRemap, uint64(remapped))
 	atomic.AddInt64(&e.stats.EntriesProcessed, 1)
 	return finish(true)
 }

@@ -35,7 +35,8 @@ func (e *Engine) WriteInline(in *nova.Inode, off uint64, data []byte) error {
 	// Assemble each page image (CoW merge of partial head/tail pages),
 	// fingerprint it, and resolve it against the FACT before anything is
 	// written — the defining property of inline deduplication.
-	chunk := make([]byte, ChunkSize)
+	var page [ChunkSize]byte // an inline write is its own consumer: its page image lives in this frame
+	chunk := page[:]
 	plans := make([]pagePlan, 0, pgEnd-pg0+1)
 	for pg := pg0; pg <= pgEnd; pg++ {
 		e.assemblePage(in, pg, off, data, chunk)
@@ -139,12 +140,12 @@ type pagePlan struct {
 // returned to the allocator (it was written but never referenced by any
 // committed write entry).
 func (e *Engine) abortPlans(plans []pagePlan) {
+	var inserted []uint64
 	for _, p := range plans {
 		e.table.AbortTxn(p.factIdx)
 		if !p.dup {
-			if e.table.DecRef(p.canonical).FreeBlock {
-				e.fs.Allocator().Free(p.canonical, 1)
-			}
+			inserted = append(inserted, p.canonical)
 		}
 	}
+	e.table.DecRefBatch(inserted, func(b uint64) { e.fs.Allocator().Free(b, 1) })
 }

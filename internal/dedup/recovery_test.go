@@ -102,7 +102,7 @@ func TestHandlingIII_RequeuedNotResumed(t *testing.T) {
 	r := newRig(t)
 	r.write(t, "solo", pages(9, 9)) // intra-file duplicate
 	node := r.engine.DWQ().DequeueBatch(0)[0]
-	r.engine.ProcessEntry(node)
+	r.engine.ProcessEntry(node, new(Scratch))
 	// Force the paper's window: target entry back to dedupe_needed (as if
 	// the crash hit between step ⑤ and the target's flag update).
 	nova.SetDedupeFlag(r.dev, node.EntryOff, nova.FlagNeeded)

@@ -213,3 +213,69 @@ func pagePlausible(pg []byte, pool [][]byte) bool {
 func allZero(b []byte) bool {
 	return bytes.Count(b, []byte{0}) == len(b)
 }
+
+// TestTortureSharedRelease races the batched release against itself and
+// against open transactions on the same entries: files a and b share every
+// canonical block (RFC 2 each), a third file with the same content waits in
+// the queue, and then two goroutines delete a and b while the daemon dedups
+// the third — every entry sees decrements, a last-reference removal or a
+// kept-for-the-transaction decision, and maybe a reinsert. Deleting the
+// third file must leave an empty FACT and every block free again.
+func TestTortureSharedRelease(t *testing.T) {
+	t.Parallel()
+	rounds, nPages := 12, 24
+	if raceEnabled {
+		rounds = 4
+	}
+	seeds := make([]byte, nPages)
+	for i := range seeds {
+		seeds[i] = byte(i + 1)
+	}
+	data := pages(seeds...)
+	for round := 0; round < rounds; round++ {
+		r := newRig(t)
+		free0 := r.fs.FreeBlocks()
+		r.write(t, "a", data)
+		r.write(t, "b", data)
+		r.engine.Drain()
+		if got := r.table.LiveEntries(); got != int64(nPages) {
+			t.Fatalf("round %d: %d FACT entries after dedup of a and b, want %d", round, got, nPages)
+		}
+		r.write(t, "c", data)
+
+		d := NewDaemon(r.engine, DaemonConfig{Interval: 0, Workers: 2})
+		d.Start()
+		var wg sync.WaitGroup
+		for _, name := range []string{"a", "b"} {
+			wg.Add(1)
+			go func(name string) {
+				defer wg.Done()
+				if err := r.fs.Delete(name); err != nil {
+					t.Errorf("round %d: delete %s: %v", round, name, err)
+				}
+			}(name)
+		}
+		wg.Wait()
+		d.DrainSync()
+		d.Stop()
+
+		if want := data; !bytes.Equal(r.read(t, "c", len(want)), want) {
+			t.Fatalf("round %d: c corrupted by the concurrent releases", round)
+		}
+		if err := r.fs.Delete("c"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.table.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if live := r.table.LiveEntries(); live != 0 {
+			t.Fatalf("round %d: %d FACT entries left after every file was deleted", round, live)
+		}
+		if free := r.fs.FreeBlocks(); free != free0 {
+			t.Fatalf("round %d: free blocks %d, started at %d", round, free, free0)
+		}
+		if err := r.fs.Fsck(func(uint64) bool { return false }); err != nil {
+			t.Fatalf("round %d: fsck: %v", round, err)
+		}
+	}
+}

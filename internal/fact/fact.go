@@ -159,28 +159,11 @@ func (t *Table) lockFor(prefix uint64) *sync.Mutex {
 	return &t.locks[prefix%lockStripes]
 }
 
-// --- Field accessors (one NVM touch each; counted by pmem) ---
-
-func (t *Table) counts(idx uint64) (rfc, uc uint32) {
-	w := t.dev.Load64(t.entryOff(idx) + feCounts)
-	return uint32(w), uint32(w >> 32)
-}
-
 // RFC returns the entry's reference count.
-func (t *Table) RFC(idx uint64) uint32 { r, _ := t.counts(idx); return r }
+func (t *Table) RFC(idx uint64) uint32 { return uint32(t.dev.Load64(t.entryOff(idx) + feCounts)) }
 
 // UC returns the entry's update count.
-func (t *Table) UC(idx uint64) uint32 { _, u := t.counts(idx); return u }
-
-func (t *Table) block(idx uint64) uint64 { return t.dev.Load64(t.entryOff(idx) + feBlock) }
-func (t *Table) prev(idx uint64) uint64  { return t.dev.Load64(t.entryOff(idx) + fePrev) }
-func (t *Table) next(idx uint64) uint64  { return t.dev.Load64(t.entryOff(idx) + feNext) }
-
-func (t *Table) fp(idx uint64) FP {
-	var fp FP
-	t.dev.Read(t.entryOff(idx)+feFP, fp[:])
-	return fp
-}
+func (t *Table) UC(idx uint64) uint32 { return uint32(t.dev.Load64(t.entryOff(idx)+feCounts) >> 32) }
 
 func (t *Table) setPrev(idx, v uint64) {
 	off := t.entryOff(idx)
@@ -194,14 +177,23 @@ func (t *Table) setNext(idx, v uint64) {
 	t.dev.Persist(off, EntrySize)
 }
 
-// occupied reports whether the entry holds a live or in-flight record: the
-// counts word is the occupancy commit point (it is the last field persisted
-// on insert and the first cleared on delete).
-func (t *Table) occupied(idx uint64) bool {
-	return t.dev.Load64(t.entryOff(idx)+feCounts) != 0
+// storeIdentity stores an entry's fingerprint and block without persisting
+// them: the caller flushes the line once, after its last store to it. The
+// fingerprint goes out as aligned words (the last one covers the pad), so
+// every store to an entry line is word-atomic and a concurrent EntryAt on
+// the line — a batch reading a neighbouring block's delete pointer — never
+// sees a torn word.
+func (t *Table) storeIdentity(off int64, fp FP, block uint64) {
+	var w [24]byte
+	copy(w[:], fp[:])
+	for i := 0; i < len(w); i += 8 {
+		t.dev.Store64(off+feFP+int64(i), layout.Record(w[:]).U64(i))
+	}
+	t.dev.Store64(off+feBlock, block)
 }
 
-// Entry is a decoded FACT entry snapshot, for inspection and tests.
+// Entry is a decoded snapshot of one entry's cache line. Everything that
+// inspects a chain node works from one of these: the line is read once.
 type Entry struct {
 	Idx    uint64
 	RFC    uint32
@@ -213,14 +205,21 @@ type Entry struct {
 	FP     FP
 }
 
-// EntryAt decodes the entry at idx.
+// counts is the shared RFC|UC word as stored (the CAS operand).
+func (e Entry) counts() uint64 { return uint64(e.RFC) | uint64(e.UC)<<32 }
+
+// occupied reports whether the entry holds a live or in-flight record: the
+// counts word is the occupancy commit point (the last store of the line on
+// insert, the first on removal).
+func (e Entry) occupied() bool { return e.RFC|e.UC != 0 }
+
+// EntryAt snapshots the entry at idx with one line read, atomic against
+// every word store to the line.
 func (t *Table) EntryAt(idx uint64) Entry {
-	off := t.entryOff(idx)
-	rec := make(layout.Record, EntrySize)
-	t.dev.Read(off, rec)
-	var fp FP
-	copy(fp[:], rec.Bytes(feFP, FPSize))
-	return Entry{
+	var line [EntrySize]byte
+	t.dev.LoadLine(t.entryOff(idx), &line)
+	rec := layout.Record(line[:])
+	e := Entry{
 		Idx:    idx,
 		RFC:    rec.U32(feRFC),
 		UC:     rec.U32(feUC),
@@ -228,8 +227,9 @@ func (t *Table) EntryAt(idx uint64) Entry {
 		Prev:   rec.U64(fePrev),
 		Next:   rec.U64(feNext),
 		DelPtr: rec.U64(feDelPtr),
-		FP:     fp,
 	}
+	copy(e.FP[:], rec.Bytes(feFP, FPSize))
+	return e
 }
 
 // relBlock converts an absolute block number to the delete-pointer slot

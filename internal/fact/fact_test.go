@@ -2,6 +2,7 @@ package fact
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -46,6 +47,13 @@ func mustBegin(t *testing.T, tab *Table, fp FP, block uint64) TxnResult {
 	return res
 }
 
+// decRef releases one block — a batch of one — and reports whether the
+// table handed it to free.
+func decRef(tab *Table, block uint64) (freed bool) {
+	tab.DecRefBatch([]uint64{block}, func(uint64) { freed = true })
+	return freed
+}
+
 func checkInv(t *testing.T, tab *Table) {
 	t.Helper()
 	if err := tab.CheckInvariants(); err != nil {
@@ -78,7 +86,7 @@ func TestInsertUniqueAndCommit(t *testing.T) {
 	if res.Idx != 5 {
 		t.Fatalf("unique entry not in DAA slot 5: %d", res.Idx)
 	}
-	if rfc, uc := tab.counts(res.Idx); rfc != 0 || uc != 1 {
+	if rfc, uc := tab.RFC(res.Idx), tab.UC(res.Idx); rfc != 0 || uc != 1 {
 		t.Fatalf("after begin: rfc=%d uc=%d", rfc, uc)
 	}
 	if !tab.CommitTxn(res.Idx) {
@@ -161,9 +169,8 @@ func TestWalkLenGrowsWithChain(t *testing.T) {
 func TestDecRefNoEntry(t *testing.T) {
 	t.Parallel()
 	_, tab := newTable(t)
-	res := tab.DecRef(tDataStart + 30)
-	if res.HasEntry || !res.FreeBlock {
-		t.Fatalf("DecRef on unknown block: %+v", res)
+	if !decRef(tab, tDataStart+30) {
+		t.Fatal("block with no FACT entry not freed")
 	}
 }
 
@@ -176,13 +183,11 @@ func TestDecRefLifecycle(t *testing.T) {
 	b := mustBegin(t, tab, fp, tDataStart+5)
 	tab.CommitTxn(b.Idx) // RFC=2 on canonical block tDataStart+4
 
-	r1 := tab.DecRef(tDataStart + 4)
-	if !r1.HasEntry || r1.FreeBlock || r1.RFC != 1 {
-		t.Fatalf("first DecRef: %+v", r1)
+	if decRef(tab, tDataStart+4) || tab.RFC(a.Idx) != 1 {
+		t.Fatalf("first decrement: freed or RFC = %d, want kept with RFC 1", tab.RFC(a.Idx))
 	}
-	r2 := tab.DecRef(tDataStart + 4)
-	if !r2.HasEntry || !r2.FreeBlock {
-		t.Fatalf("second DecRef: %+v", r2)
+	if !decRef(tab, tDataStart+4) {
+		t.Fatal("last reference dropped but block not freed")
 	}
 	// Entry gone: the block now has no FACT entry.
 	if _, ok := tab.DeletePtr(tDataStart + 4); ok {
@@ -202,8 +207,7 @@ func TestDecRefKeepsBlockWhileTxnInFlight(t *testing.T) {
 	tab.CommitTxn(a.Idx) // RFC=1
 	// A second transaction begins (UC=1) but has not committed.
 	mustBegin(t, tab, fp, tDataStart+8)
-	res := tab.DecRef(tDataStart + 7) // drops RFC to 0 while UC=1
-	if res.FreeBlock {
+	if decRef(tab, tDataStart+7) { // drops RFC to 0 while UC=1
 		t.Fatal("block freed under an in-flight transaction")
 	}
 	// Commit arrives: RFC back to 1.
@@ -225,8 +229,8 @@ func TestRemoveMiddleOfChain(t *testing.T) {
 		blocks = append(blocks, b)
 	}
 	// Remove the middle entry.
-	if res := tab.DecRef(blocks[1]); !res.FreeBlock {
-		t.Fatalf("middle entry not freed: %+v", res)
+	if !decRef(tab, blocks[1]) {
+		t.Fatal("middle entry not freed")
 	}
 	chain := tab.ChainOf(2)
 	if len(chain) != 2 {
@@ -249,8 +253,8 @@ func TestRemoveDAAHeadKeepsChainAnchored(t *testing.T) {
 	b := mustBegin(t, tab, fpWithPrefix(6, 2), tDataStart+2)
 	tab.CommitTxn(b.Idx)
 	// Remove the head (DAA) entry; the IAA entry must stay reachable.
-	if res := tab.DecRef(tDataStart + 1); !res.FreeBlock {
-		t.Fatalf("head not freed: %+v", res)
+	if !decRef(tab, tDataStart+1) {
+		t.Fatal("head not freed")
 	}
 	res := mustBegin(t, tab, fpWithPrefix(6, 2), tDataStart+30)
 	if !res.Dup {
@@ -429,37 +433,61 @@ func TestReorderCrashSweep(t *testing.T) {
 
 func TestInsertCrashSweep(t *testing.T) {
 	t.Parallel()
-	// Crash at every persist point of a unique-chunk insert (including the
-	// IAA-collision path); recovery must always restore invariants, and the
-	// pre-existing entries must survive.
-	prep := func() (*pmem.Device, *Table) {
-		dev, tab := newTable(t)
-		res, _ := tab.BeginTxn(fpWithPrefix(30, 1), tDataStart+1)
-		tab.CommitTxn(res.Idx)
-		return dev, tab
-	}
-	dev0, tab0 := prep()
-	base := dev0.PersistOps()
-	if _, err := tab0.BeginTxn(fpWithPrefix(30, 2), tDataStart+2); err != nil {
-		t.Fatal(err)
-	}
-	total := dev0.PersistOps() - base
-
-	for k := int64(1); k <= total; k++ {
-		dev, tab := prep()
-		dev.SetCrashAfter(k)
-		pmem.RunToCrash(func() { tab.BeginTxn(fpWithPrefix(30, 2), tDataStart+2) })
-		img := dev.CrashImage(pmem.CrashDropDirty, k)
-		rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-		rt.RecoverStructure()
-		rt.ZeroAllUC()
-		if err := rt.CheckInvariants(); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
+	// Crash at every persist point of a unique-chunk insert — into an empty
+	// DAA head, behind an occupied head, and at the tail of a longer chain —
+	// under every cache-survival mode. The entry's line is stored field by
+	// field and flushed once, so an image may hold it whole, not at all, or
+	// (evicted early) whole but unlinked; recovery must always restore the
+	// invariants, keep the committed entries, and discard the open insert.
+	for _, tc := range []struct {
+		name      string
+		committed int // entries already in chain 30
+	}{{"empty head", 0}, {"behind the head", 1}, {"chain tail", 3}} {
+		prep := func() (*pmem.Device, *Table) {
+			dev, tab := newTable(t)
+			for i := 1; i <= tc.committed; i++ {
+				res := mustBegin(t, tab, fpWithPrefix(30, byte(i)), tDataStart+uint64(i))
+				tab.CommitTxn(res.Idx)
+			}
+			return dev, tab
 		}
-		// The committed entry must still be there with RFC=1.
-		res, err := rt.BeginTxn(fpWithPrefix(30, 1), tDataStart+40)
-		if err != nil || !res.Dup {
-			t.Fatalf("k=%d: committed entry lost (dup=%v err=%v)", k, res.Dup, err)
+		insert := func(tab *Table) { tab.BeginTxn(fpWithPrefix(30, 99), tDataStart+20) }
+		dev0, tab0 := prep()
+		base := dev0.PersistOps()
+		insert(tab0)
+		total := dev0.PersistOps() - base
+
+		for k := int64(1); k <= total; k++ {
+			for _, m := range []struct {
+				mode pmem.CrashMode
+				seed int64
+			}{{pmem.CrashDropDirty, 0}, {pmem.CrashKeepDirty, 0}, {pmem.CrashEvictRandom, 7919*k + 1}, {pmem.CrashEvictRandom, 7919*k + 2}} {
+				tag := fmt.Sprintf("%s k=%d/%d mode=%d seed=%d", tc.name, k, total, m.mode, m.seed)
+				dev, tab := prep()
+				dev.SetCrashAfter(k)
+				if !pmem.RunToCrash(func() { insert(tab) }) {
+					t.Fatalf("%s: no crash", tag)
+				}
+				img := dev.CrashImage(m.mode, m.seed)
+				rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
+				rt.RecoverStructure()
+				rt.ZeroAllUC()
+				if err := rt.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				for i := 1; i <= tc.committed; i++ {
+					idx, block, ok := rt.Lookup(fpWithPrefix(30, byte(i)))
+					if !ok || block != tDataStart+uint64(i) || rt.RFC(idx) != 1 {
+						t.Fatalf("%s: committed entry %d lost or damaged (found=%v block=%d)", tag, i, ok, block)
+					}
+				}
+				if _, _, ok := rt.Lookup(fpWithPrefix(30, 99)); ok {
+					t.Fatalf("%s: uncommitted insert survived recovery", tag)
+				}
+				if got, want := rt.LiveEntries(), int64(tc.committed); got != want {
+					t.Fatalf("%s: %d live entries, want %d", tag, got, want)
+				}
+			}
 		}
 	}
 }
@@ -527,7 +555,7 @@ func TestStatsCounters(t *testing.T) {
 	tab.CommitTxn(a.Idx)
 	b := mustBegin(t, tab, fp, tDataStart+6)
 	tab.CommitTxn(b.Idx)
-	tab.DecRef(tDataStart + 5)
+	decRef(tab, tDataStart+5)
 	s := tab.Stats()
 	if s.Lookups != 2 || s.Inserts != 1 || s.DupHits != 1 || s.Commits != 2 || s.DecRefs != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -596,20 +624,18 @@ func TestPropertyFACTMatchesModel(t *testing.T) {
 				}
 				fp := owner[blk]
 				m := model[fp]
-				res := tab.DecRef(blk)
-				if !res.HasEntry {
+				if _, ok := tab.DeletePtr(blk); !ok {
 					return false
 				}
+				freed := decRef(tab, blk)
 				m.rfc--
-				if m.rfc == 0 {
-					if !res.FreeBlock {
-						return false
-					}
+				if freed != (m.rfc == 0) {
+					return false
+				}
+				if freed {
 					delete(model, fp)
 					delete(owner, blk)
 					freeBlocks = append(freeBlocks, blk)
-				} else if res.FreeBlock {
-					return false
 				}
 			}
 			if rng.Intn(20) == 0 {
@@ -676,12 +702,7 @@ func TestConcurrentTxnAndDecRefStress(t *testing.T) {
 					tab.CommitTxn(res.Idx)
 					atomic.AddInt64(&commits, 1)
 				} else {
-					res := tab.DecRef(blocks[k])
-					if !res.HasEntry {
-						t.Errorf("entry for block %d vanished", blocks[k])
-						return
-					}
-					if res.FreeBlock {
+					if decRef(tab, blocks[k]) {
 						// RFC floor reached zero concurrently; re-seed so the
 						// content stays resident for other workers.
 						nr, err := tab.BeginTxn(fps[k], blocks[k])
@@ -731,6 +752,11 @@ func TestConcurrentTxnAndDecRefStress(t *testing.T) {
 // findable.
 func TestRemoveCrashSweep(t *testing.T) {
 	t.Parallel()
+	// Crash at every persist point of a last-reference removal — of the DAA
+	// head, a mid-chain IAA node and the chain tail — under every
+	// cache-survival mode (a removal's zeroed counts word sits unflushed in
+	// the cache until the wipe goes out with it, so eviction can expose it
+	// early). The other three entries must stay findable.
 	build := func() (*pmem.Device, *Table) {
 		dev, tab := newTable(t)
 		for i := byte(1); i <= 4; i++ {
@@ -742,34 +768,44 @@ func TestRemoveCrashSweep(t *testing.T) {
 		}
 		return dev, tab
 	}
-	dev0, tab0 := build()
-	start := dev0.PersistOps()
-	if res := tab0.DecRef(tDataStart + 2); !res.FreeBlock {
-		t.Fatalf("setup: %+v", res)
-	}
-	total := dev0.PersistOps() - start
+	for _, victim := range []byte{1, 2, 4} {
+		dev0, tab0 := build()
+		start := dev0.PersistOps()
+		if !decRef(tab0, tDataStart+uint64(victim)) {
+			t.Fatal("setup: block not freed")
+		}
+		total := dev0.PersistOps() - start
 
-	for k := int64(1); k <= total; k++ {
-		dev, tab := build()
-		dev.SetCrashAfter(k)
-		pmem.RunToCrash(func() { tab.DecRef(tDataStart + 2) })
-		img := dev.CrashImage(pmem.CrashDropDirty, k)
-		rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-		rt.RecoverStructure()
-		rt.ZeroAllUC()
-		if err := rt.CheckInvariants(); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		// Entries 1, 3 and 4 must still be findable whatever happened to 2.
-		for _, i := range []byte{1, 3, 4} {
-			res, err := rt.BeginTxn(fpWithPrefix(15, i), tDataStart+40)
-			if err != nil || !res.Dup {
-				t.Fatalf("k=%d: entry %d lost (dup=%v err=%v)", k, i, res.Dup, err)
+		for k := int64(1); k <= total; k++ {
+			for _, m := range []struct {
+				mode pmem.CrashMode
+				seed int64
+			}{{pmem.CrashDropDirty, 0}, {pmem.CrashKeepDirty, 0}, {pmem.CrashEvictRandom, 104729*k + 1}, {pmem.CrashEvictRandom, 104729*k + 2}} {
+				tag := fmt.Sprintf("victim=%d k=%d/%d mode=%d seed=%d", victim, k, total, m.mode, m.seed)
+				dev, tab := build()
+				dev.SetCrashAfter(k)
+				pmem.RunToCrash(func() { decRef(tab, tDataStart+uint64(victim)) })
+				img := dev.CrashImage(m.mode, m.seed)
+				rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
+				rt.RecoverStructure()
+				rt.ZeroAllUC()
+				if err := rt.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				for i := byte(1); i <= 4; i++ {
+					if i == victim {
+						continue
+					}
+					res, err := rt.BeginTxn(fpWithPrefix(15, i), tDataStart+40)
+					if err != nil || !res.Dup {
+						t.Fatalf("%s: entry %d lost (dup=%v err=%v)", tag, i, res.Dup, err)
+					}
+					rt.AbortTxn(res.Idx)
+				}
+				if err := rt.CheckInvariants(); err != nil {
+					t.Fatalf("%s after probes: %v", tag, err)
+				}
 			}
-			rt.AbortTxn(res.Idx)
-		}
-		if err := rt.CheckInvariants(); err != nil {
-			t.Fatalf("k=%d after probes: %v", k, err)
 		}
 	}
 }
@@ -829,7 +865,7 @@ func TestRecoverStructureTruncatesCycle(t *testing.T) {
 	if len(chain) != 3 {
 		t.Fatalf("chain after cycle truncation = %v, want the 3 real members", chain)
 	}
-	if got := rt.next(chain[2]); got != None {
+	if got := rt.EntryAt(chain[2]).Next; got != None {
 		t.Fatalf("tail next = %d after truncation, want None", got)
 	}
 	for i := byte(1); i <= 3; i++ {

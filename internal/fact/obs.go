@@ -8,15 +8,17 @@ import (
 
 // Observer carries the FACT layer's pre-resolved metrics. Latencies are
 // recorded on the transaction-protocol entry points (BeginTxn,
-// CommitTxnBatch, DecRef); the cheap single-word ops (CommitTxn, AbortTxn)
-// stay untimed — they are one CAS plus a flush, and the activity counters
-// in Stats already cover them.
+// CommitTxnBatch, DecRefBatch); the cheap single-word ops (CommitTxn,
+// AbortTxn) stay untimed — they are one CAS plus a flush, and the activity
+// counters in Stats already cover them. fact.decref keeps one sample per
+// block, not per batch — each block is charged the batch's wall time divided
+// by its size — so its count and mean stay comparable across batch sizes.
 type Observer struct {
 	Tracer *obs.Tracer
 
 	Begin       *obs.Histogram // fact.begin_txn
 	CommitBatch *obs.Histogram // fact.commit_batch (whole batch, one fence)
-	DecRef      *obs.Histogram // fact.decref
+	DecRef      *obs.Histogram // fact.decref (one sample per block released)
 }
 
 // NewObserver resolves the FACT metric set from reg. tracer may be nil.

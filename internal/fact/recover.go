@@ -148,8 +148,7 @@ func (t *Table) RecoverStructure() RecoverStats {
 				if reachable[idx] {
 					continue
 				}
-				if t.occupied(idx) {
-					t.dev.PersistStore64(t.entryOff(idx)+feCounts, 0)
+				if t.EntryAt(idx).occupied() {
 					t.clearSlot(idx)
 					sh.cleared++
 				}
@@ -181,7 +180,7 @@ func (t *Table) recoverChain(p uint64, reachable map[uint64]bool, rs *RecoverSta
 	// a corrupted region (e.g. never initialized) must not hang
 	// recovery — the chain is truncated at the first repeated entry.
 	prev := p
-	cur := t.next(p)
+	cur := t.EntryAt(p).Next
 	visited := map[uint64]bool{}
 	for cur != None {
 		if int64(cur) >= t.total || visited[cur] {
@@ -189,36 +188,35 @@ func (t *Table) recoverChain(p uint64, reachable map[uint64]bool, rs *RecoverSta
 			break
 		}
 		visited[cur] = true
-		nxt := t.next(cur)
-		if !t.occupied(cur) {
+		e := t.EntryAt(cur)
+		if !e.occupied() {
 			// Half-inserted or half-removed IAA entry: unlink.
-			t.setNext(prev, nxt)
-			if nxt != None {
-				t.setPrev(nxt, prev)
+			t.setNext(prev, e.Next)
+			if e.Next != None {
+				t.setPrev(e.Next, prev)
 			}
 			t.clearSlot(cur)
 			rs.GhostsUnlinked++
-			cur = nxt
+			cur = e.Next
 			continue
 		}
-		if t.prev(cur) != prev {
+		if e.Prev != prev {
 			t.setPrev(cur, prev)
 			rs.PrevsFixed++
 		}
 		reachable[cur] = true
 		prev = cur
-		cur = nxt
+		cur = e.Next
 	}
 }
 
-// clearSlot wipes an entry's identity (not its delete-pointer field, which
-// belongs to the slot's block index).
+// clearSlot wipes an entry's counts (the first store of the line), identity
+// and links with one flush — not its delete-pointer field, which belongs to
+// the slot's block index.
 func (t *Table) clearSlot(idx uint64) {
 	off := t.entryOff(idx)
-	var zero [FPSize]byte
 	t.dev.Store64(off+feCounts, 0)
-	t.dev.Write(off+feFP, zero[:])
-	t.dev.Store64(off+feBlock, 0)
+	t.storeIdentity(off, FP{}, 0)
 	t.dev.Store64(off+fePrev, None)
 	t.dev.Store64(off+feNext, None)
 	t.dev.Persist(off, EntrySize)
@@ -242,11 +240,9 @@ func (t *Table) fixDeletePointers() int {
 			defer wg.Done()
 			want := make(map[uint64]uint64)
 			for i := lo; i < hi; i++ {
-				idx := uint64(i)
-				if !t.occupied(idx) {
-					continue
+				if e := t.EntryAt(uint64(i)); e.occupied() {
+					want[t.relBlock(e.Block)] = e.Idx
 				}
-				want[t.relBlock(t.block(idx))] = idx
 			}
 			wantShards[w] = want
 		}(w, r[0], r[1])
@@ -312,7 +308,8 @@ func (t *Table) ZeroAllUC() RecoverStats {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
 				idx := uint64(i)
-				rfc, uc := t.counts(idx)
+				w := t.dev.Load64(t.entryOff(idx) + feCounts)
+				rfc, uc := uint32(w), uint32(w>>32)
 				if uc == 0 {
 					continue
 				}
@@ -358,21 +355,16 @@ func (t *Table) Scrub(inUse func(block uint64) bool) (RecoverStats, []uint64) {
 		go func(w int, lo, hi int64) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				idx := uint64(i)
-				if !t.occupied(idx) {
+				e := t.EntryAt(uint64(i))
+				if !e.occupied() || e.UC > 0 {
+					// Empty, or an open transaction is about to reference
+					// this block; the next scrub pass will catch it if the
+					// transaction dies.
 					continue
 				}
-				if _, uc := t.counts(idx); uc > 0 {
-					// An open transaction is about to reference this block;
-					// the next scrub pass will catch it if the transaction
-					// dies.
-					continue
+				if !inUse(e.Block) {
+					candShards[w] = append(candShards[w], cand{e.Idx, e.Block})
 				}
-				b := t.block(idx)
-				if inUse(b) {
-					continue
-				}
-				candShards[w] = append(candShards[w], cand{idx, b})
 			}
 		}(w, r[0], r[1])
 	}
@@ -384,7 +376,7 @@ func (t *Table) Scrub(inUse func(block uint64) bool) (RecoverStats, []uint64) {
 			// Re-validate under the chain lock via dropEntry (it rechecks
 			// occupancy); the block check guards against the slot having
 			// been rewritten between the scan and the drop.
-			if t.block(c.idx) != c.block {
+			if t.EntryAt(c.idx).Block != c.block {
 				continue
 			}
 			t.dropEntry(c.idx)
@@ -398,14 +390,14 @@ func (t *Table) Scrub(inUse func(block uint64) bool) (RecoverStats, []uint64) {
 // dropEntry force-removes an entry regardless of its counts, taking the
 // chain lock.
 func (t *Table) dropEntry(idx uint64) {
-	fp := t.fp(idx)
-	prefix := t.PrefixOf(fp)
+	prefix := idx // a DAA slot heads its own chain
+	if int64(idx) >= t.daa {
+		prefix = t.PrefixOf(t.EntryAt(idx).FP)
+	}
 	mu := t.lockFor(prefix)
 	mu.Lock()
 	defer mu.Unlock()
-	if !t.occupied(idx) {
-		return
+	if e := t.EntryAt(idx); e.occupied() {
+		t.removeLocked(prefix, e)
 	}
-	block := t.block(idx)
-	t.removeLocked(prefix, idx, block)
 }

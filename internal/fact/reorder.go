@@ -48,12 +48,13 @@ func (q *reorderQueue) drain() []uint64 {
 }
 
 // maybeMarkReorder flags a chain for reordering when the lookup that just
-// completed walked deeper than the threshold to reach a hot entry.
-func (t *Table) maybeMarkReorder(prefix, idx uint64, walk int) {
+// completed walked deeper than the threshold to reach a hot entry; counts is
+// that entry's counts word.
+func (t *Table) maybeMarkReorder(prefix uint64, walk int, counts uint64) {
 	if !t.ReorderEnabled || walk <= t.DepthThreshold {
 		return
 	}
-	if t.RFC(idx)+t.UC(idx) < t.RFCThreshold {
+	if uint32(counts)+uint32(counts>>32) < t.RFCThreshold {
 		return
 	}
 	t.reorders.add(prefix)
@@ -73,28 +74,24 @@ func (t *Table) ReorderChain(prefix uint64) bool {
 	mu.Lock()
 	defer mu.Unlock()
 
-	// Collect the chain: head + IAA nodes in current order.
-	var nodes []uint64
-	for cur := t.next(prefix); cur != None; cur = t.next(cur) {
-		nodes = append(nodes, cur)
+	// Collect the IAA nodes in current order, one snapshot each.
+	var nodes []Entry
+	for cur := t.EntryAt(prefix).Next; cur != None; cur = nodes[len(nodes)-1].Next {
+		nodes = append(nodes, t.EntryAt(cur))
 	}
 	if len(nodes) < 2 {
 		return false
 	}
 	// Desired order: descending RFC (stable, so equal-RFC entries keep
 	// their relative position).
-	sorted := make([]uint64, len(nodes))
-	copy(sorted, nodes)
-	sort.SliceStable(sorted, func(i, j int) bool { return t.RFC(sorted[i]) > t.RFC(sorted[j]) })
-	same := true
-	for i := range nodes {
-		if nodes[i] != sorted[i] {
-			same = false
-			break
-		}
-	}
-	if same {
+	byRFC := func(i, j int) bool { return nodes[i].RFC > nodes[j].RFC }
+	if sort.SliceIsSorted(nodes, byRFC) {
 		return false
+	}
+	sort.SliceStable(nodes, byRFC)
+	sorted := make([]uint64, len(nodes))
+	for i, e := range nodes {
+		sorted[i] = e.Idx
 	}
 
 	t.reorderCommit(prefix, sorted)
@@ -141,14 +138,15 @@ func (t *Table) setNextsForOrder(prefix uint64, order []uint64) {
 // recoverReorder repairs the chain at prefix after a crash, according to
 // the commit flag. Returns true if a repair was needed.
 func (t *Table) recoverReorder(prefix uint64) bool {
-	flag := t.prev(prefix)
+	head := t.EntryAt(prefix)
+	flag := head.Prev
 	if flag == None {
 		return false
 	}
 	if flag == prefix {
 		// Phase 1 crash: next fields hold the old order; rebuild prevs.
 		prev := prefix
-		for cur := t.next(prefix); cur != None; cur = t.next(cur) {
+		for cur := head.Next; cur != None; cur = t.EntryAt(cur).Next {
 			t.setPrev(cur, prev)
 			prev = cur
 		}
@@ -162,7 +160,7 @@ func (t *Table) recoverReorder(prefix uint64) bool {
 	for cur != prefix {
 		t.setNext(cur, next)
 		next = cur
-		cur = t.prev(cur)
+		cur = t.EntryAt(cur).Prev
 	}
 	t.setNext(prefix, next)
 	t.setPrev(prefix, None)
@@ -176,7 +174,7 @@ func (t *Table) ChainOf(prefix uint64) []uint64 {
 	mu.Lock()
 	defer mu.Unlock()
 	chain := []uint64{prefix}
-	for cur := t.next(prefix); cur != None; cur = t.next(cur) {
+	for cur := t.EntryAt(prefix).Next; cur != None; cur = t.EntryAt(cur).Next {
 		chain = append(chain, cur)
 	}
 	return chain

@@ -66,7 +66,7 @@ func (s Stats) AvgWalk() float64 {
 func (t *Table) LiveEntries() int64 {
 	var n int64
 	for i := int64(0); i < t.total; i++ {
-		if t.occupied(uint64(i)) {
+		if t.EntryAt(uint64(i)).occupied() {
 			n++
 		}
 	}
@@ -85,11 +85,12 @@ func (t *Table) LiveEntries() int64 {
 func (t *Table) CheckInvariants() error {
 	seen := make(map[uint64]uint64) // entry idx -> owning prefix
 	for p := uint64(0); int64(p) < t.daa; p++ {
-		if flag := t.prev(p); flag != None {
-			return fmt.Errorf("fact: chain %d has raised commit flag %d", p, flag)
+		head := t.EntryAt(p)
+		if head.Prev != None {
+			return fmt.Errorf("fact: chain %d has raised commit flag %d", p, head.Prev)
 		}
 		prev := p
-		for cur := t.next(p); cur != None; cur = t.next(cur) {
+		for cur := head.Next; cur != None; {
 			if int64(cur) >= t.total {
 				return fmt.Errorf("fact: chain %d links to out-of-range entry %d", p, cur)
 			}
@@ -97,33 +98,30 @@ func (t *Table) CheckInvariants() error {
 				return fmt.Errorf("fact: entry %d in chains %d and %d", cur, owner, p)
 			}
 			seen[cur] = p
-			if t.prev(cur) != prev {
-				return fmt.Errorf("fact: entry %d prev=%d, want %d", cur, t.prev(cur), prev)
+			e := t.EntryAt(cur)
+			if e.Prev != prev {
+				return fmt.Errorf("fact: entry %d prev=%d, want %d", cur, e.Prev, prev)
 			}
-			if t.occupied(cur) {
-				if got := t.PrefixOf(t.fp(cur)); got != p {
-					return fmt.Errorf("fact: entry %d prefix %d in chain %d", cur, got, p)
-				}
+			if got := t.PrefixOf(e.FP); e.occupied() && got != p {
+				return fmt.Errorf("fact: entry %d prefix %d in chain %d", cur, got, p)
 			}
-			prev = cur
+			prev, cur = cur, e.Next
 		}
 	}
 	for i := int64(0); i < t.total; i++ {
-		idx := uint64(i)
-		if !t.occupied(idx) {
+		e := t.EntryAt(uint64(i))
+		if !e.occupied() {
 			continue
 		}
-		if int64(idx) >= t.daa {
-			if _, ok := seen[idx]; !ok {
-				return fmt.Errorf("fact: occupied IAA entry %d unreachable", idx)
+		if i >= t.daa {
+			if _, ok := seen[e.Idx]; !ok {
+				return fmt.Errorf("fact: occupied IAA entry %d unreachable", e.Idx)
 			}
-		} else if got := t.PrefixOf(t.fp(idx)); got != idx {
-			return fmt.Errorf("fact: DAA entry %d holds prefix %d", idx, got)
+		} else if got := t.PrefixOf(e.FP); got != e.Idx {
+			return fmt.Errorf("fact: DAA entry %d holds prefix %d", e.Idx, got)
 		}
-		b := t.block(idx)
-		ptr, ok := t.DeletePtr(b)
-		if !ok || ptr != idx {
-			return fmt.Errorf("fact: entry %d block %d delete pointer is %d/%v", idx, b, ptr, ok)
+		if ptr, ok := t.DeletePtr(e.Block); !ok || ptr != e.Idx {
+			return fmt.Errorf("fact: entry %d block %d delete pointer is %d/%v", e.Idx, e.Block, ptr, ok)
 		}
 	}
 	for r := int64(0); r < t.numData; r++ {
@@ -134,7 +132,7 @@ func (t *Table) CheckInvariants() error {
 		if int64(ptr) >= t.total {
 			return fmt.Errorf("fact: delete pointer of block slot %d out of range: %d", r, ptr)
 		}
-		if !t.occupied(ptr) || t.relBlock(t.block(ptr)) != uint64(r) {
+		if e := t.EntryAt(ptr); !e.occupied() || t.relBlock(e.Block) != uint64(r) {
 			return fmt.Errorf("fact: stale delete pointer at slot %d -> %d", r, ptr)
 		}
 	}

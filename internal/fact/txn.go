@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"denova/internal/layout"
 	"denova/internal/obs"
 )
 
@@ -55,16 +56,15 @@ func (t *Table) BeginTxn(fp FP, block uint64) (TxnResult, error) {
 	defer mu.Unlock()
 
 	atomic.AddInt64(&t.stats.Lookups, 1)
-	idx, tail, walk, found := t.lookupLocked(prefix, fp)
+	hit, found, tail, headFree, walk := t.lookupLocked(prefix, fp)
 	atomic.AddInt64(&t.stats.WalkEntries, int64(walk))
 	if found {
-		t.incUC(idx)
+		counts := t.incUC(hit.Idx)
 		atomic.AddInt64(&t.stats.DupHits, 1)
-		res := TxnResult{Idx: idx, Dup: true, Canonical: t.block(idx), WalkLen: walk}
-		t.maybeMarkReorder(prefix, idx, walk)
-		return res, nil
+		t.maybeMarkReorder(prefix, walk, counts)
+		return TxnResult{Idx: hit.Idx, Dup: true, Canonical: hit.Block, WalkLen: walk}, nil
 	}
-	idx, err := t.insertLocked(prefix, tail, fp, block)
+	idx, err := t.insertLocked(prefix, tail, headFree, fp, block)
 	if err != nil {
 		return TxnResult{}, err
 	}
@@ -72,67 +72,65 @@ func (t *Table) BeginTxn(fp FP, block uint64) (TxnResult, error) {
 	return TxnResult{Idx: idx, Dup: false, Canonical: block, WalkLen: walk}, nil
 }
 
-// lookupLocked walks the chain for prefix comparing fingerprints. Returns
-// the matching index, the chain tail (for appends), the number of occupied
-// entries inspected, and whether a match was found. The chain lock is held.
-func (t *Table) lookupLocked(prefix uint64, fp FP) (idx, tail uint64, walk int, found bool) {
-	cur := prefix
-	tail = prefix
-	for {
-		if t.occupied(cur) {
+// lookupLocked walks the chain for prefix comparing fingerprints, one line
+// read per node. It returns the matching entry's snapshot and whether there
+// was one, the chain tail (for appends), whether the DAA head is unoccupied
+// (for inserts), and the number of occupied entries inspected. The chain
+// lock is held.
+func (t *Table) lookupLocked(prefix uint64, fp FP) (hit Entry, found bool, tail uint64, headFree bool, walk int) {
+	for cur := prefix; ; {
+		e := t.EntryAt(cur)
+		if e.occupied() {
 			walk++
-			if t.fp(cur) == fp {
-				return cur, tail, walk, true
+			if e.FP == fp {
+				return e, true, cur, headFree, walk
 			}
+		} else if cur == prefix {
+			headFree = true
 		}
-		tail = cur
-		nxt := t.next(cur)
-		if nxt == None {
-			return 0, tail, walk, false
+		if e.Next == None {
+			return Entry{}, false, cur, headFree, walk
 		}
-		cur = nxt
+		cur = e.Next
 	}
 }
 
 // insertLocked places a new entry for (fp, block) with UC=1. The DAA head
-// slot is claimed when unoccupied (even if a chain hangs off it); otherwise
-// an IAA slot is allocated and appended at the chain tail. Persist order
-// makes the counts word the commit point:
+// slot is claimed when unoccupied (even if a chain hangs off it, so its next
+// field is kept; its prev field is the reorder flag, None while the chain
+// lock is free); otherwise an IAA slot is allocated and appended at the
+// chain tail. The counts word is the commit point and the LAST store of the
+// entry's line, so one flush covers the whole entry: whatever part of the
+// line a crash exposes (whole-line old-or-new in the crash model, a prefix
+// of the stores on x86) either reads unoccupied or is complete.
 //
-//  1. entry fields (fp, block, prev, next) persisted,
-//  2. counts word set to UC=1, persisted  — entry now exists,
-//  3. tail.next linked (IAA case), persisted,
-//  4. delete pointer installed, persisted.
+//  1. fields, then counts (UC=1), one persist — entry now exists,
+//  2. tail.next linked (IAA case), persisted,
+//  3. delete pointer installed, persisted.
 //
-// A crash after (2) but before (3) leaves an orphan IAA slot invisible to
-// lookups; recovery reclaims it. A crash before (4) leaves an entry whose
+// A crash after (1) but before (2) leaves an orphan IAA slot invisible to
+// lookups; recovery reclaims it. A crash before (3) leaves an entry whose
 // block has no delete pointer; recovery reinstalls delete pointers from the
 // entries themselves.
-func (t *Table) insertLocked(prefix, tail uint64, fp FP, block uint64) (uint64, error) {
-	if !t.occupied(prefix) {
-		// Claim the DAA head. Keep its next linkage (an empty head may
-		// still anchor an IAA chain).
-		off := t.entryOff(prefix)
-		t.dev.Write(off+feFP, fp[:])
-		t.dev.Store64(off+feBlock, block)
-		t.dev.Store64(off+fePrev, None)
-		t.dev.Persist(off, EntrySize)
-		t.dev.PersistStore64(off+feCounts, uint64(1)<<32) // UC=1, RFC=0
-		t.setDelPtr(block, prefix)
-		return prefix, nil
-	}
-	idx, err := t.allocIAA()
-	if err != nil {
-		return 0, err
+func (t *Table) insertLocked(prefix, tail uint64, headFree bool, fp FP, block uint64) (uint64, error) {
+	idx := prefix
+	if !headFree {
+		var err error
+		if idx, err = t.allocIAA(); err != nil {
+			return 0, err
+		}
 	}
 	off := t.entryOff(idx)
-	t.dev.Write(off+feFP, fp[:])
-	t.dev.Store64(off+feBlock, block)
-	t.dev.Store64(off+fePrev, tail)
-	t.dev.Store64(off+feNext, None)
+	t.storeIdentity(off, fp, block)
+	if idx != prefix {
+		t.dev.Store64(off+fePrev, tail)
+		t.dev.Store64(off+feNext, None)
+	}
+	t.dev.Store64(off+feCounts, uint64(1)<<32) // UC=1, RFC=0
 	t.dev.Persist(off, EntrySize)
-	t.dev.PersistStore64(off+feCounts, uint64(1)<<32)
-	t.setNext(tail, idx) // link: entry becomes reachable
+	if idx != prefix {
+		t.setNext(tail, idx) // link: entry becomes reachable
+	}
 	t.setDelPtr(block, idx)
 	return idx, nil
 }
@@ -161,11 +159,13 @@ func (t *Table) IAAFree() int {
 	return len(t.iaaFree)
 }
 
-// incUC atomically increments the update count and persists the word.
-func (t *Table) incUC(idx uint64) {
+// incUC atomically increments the update count, persists the word and
+// returns its new value.
+func (t *Table) incUC(idx uint64) uint64 {
 	off := t.entryOff(idx) + feCounts
-	t.dev.Add64(off, uint64(1)<<32)
+	w := t.dev.Add64(off, uint64(1)<<32)
 	t.dev.Persist(off, 8)
+	return w
 }
 
 // CommitTxn applies "decrease the UC and increase the RFC" as one atomic
@@ -253,11 +253,8 @@ func (t *Table) Lookup(fp FP) (idx, canonical uint64, found bool) {
 	mu := t.lockFor(prefix)
 	mu.Lock()
 	defer mu.Unlock()
-	i, _, _, ok := t.lookupLocked(prefix, fp)
-	if !ok {
-		return 0, 0, false
-	}
-	return i, t.block(i), true
+	hit, ok, _, _, _ := t.lookupLocked(prefix, fp)
+	return hit.Idx, hit.Block, ok
 }
 
 // CommitTxnByBlock resolves the entry through the delete pointer and
@@ -271,115 +268,136 @@ func (t *Table) CommitTxnByBlock(block uint64) bool {
 	return t.CommitTxn(idx)
 }
 
-// DecRefResult describes a reclamation decision.
-type DecRefResult struct {
-	// HasEntry is false when the block has no FACT entry (never deduped):
-	// the caller frees the block directly.
-	HasEntry bool
-	// FreeBlock is true when the reference count reached zero and the block
-	// may be reclaimed.
-	FreeBlock bool
-	// RFC is the reference count after the decrement.
-	RFC uint32
-}
+// maxRun caps how many consecutive delete-pointer slots DecRefBatch fetches
+// with one read.
+const maxRun = 32
 
-// DecRef is the reclamation path of §IV-C: resolve the block's FACT entry
-// through the delete pointer (two NVM reads), decrement the RFC, and when
-// it reaches zero with no transaction in flight, remove the entry from its
-// chain and free the block. A block whose RFC hits zero while UC>0 is kept:
+// DecRefBatch is the reclamation path of §IV-C for a whole extent: it drops
+// one reference from each block and calls free for every block that may be
+// reclaimed — its reference count reached zero with no transaction in
+// flight (the entry is then removed from its chain), or it has no FACT entry
+// at all (never deduped). A block whose RFC hits zero while UC>0 is kept:
 // the in-flight transaction is about to re-reference it.
-func (t *Table) DecRef(block uint64) DecRefResult {
-	if o := t.obs; o != nil {
+//
+// The delete pointers of each run of consecutive block numbers are fetched
+// with one sequential read; each entry's chain lock is then taken in turn,
+// one stripe at a time.
+func (t *Table) DecRefBatch(blocks []uint64, free func(block uint64)) {
+	if o := t.obs; o != nil && len(blocks) > 0 {
 		start := time.Now()
-		defer func() { o.observe(o.DecRef, obs.OpFactDecRef, block, time.Since(start)) }()
+		defer func() {
+			per := time.Since(start) / time.Duration(len(blocks))
+			for _, b := range blocks {
+				o.observe(o.DecRef, obs.OpFactDecRef, b, per)
+			}
+		}()
 	}
-	idx, ok := t.DeletePtr(block)
-	if !ok {
-		return DecRefResult{HasEntry: false, FreeBlock: true}
-	}
-	// Lock the chain that owns the entry. The fingerprint read is
-	// unsynchronized, so re-validate under the lock (the entry could have
-	// been removed and reused between the reads).
-	for {
-		fp := t.fp(idx)
-		prefix := t.PrefixOf(fp)
-		mu := t.lockFor(prefix)
-		mu.Lock()
-		cur, ok2 := t.DeletePtr(block)
-		if !ok2 {
-			mu.Unlock()
-			return DecRefResult{HasEntry: false, FreeBlock: true}
+	var lines [maxRun * EntrySize]byte
+	for rest := blocks; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && n < maxRun && rest[n] == rest[0]+uint64(n) {
+			n++
 		}
-		if cur != idx || t.fp(idx) != fp || t.block(idx) != block {
-			mu.Unlock()
-			idx = cur
-			continue // raced; retry with the current owner
+		t.relBlock(rest[n-1]) // bounds the run; rest[0] is checked below
+		t.dev.LoadLines(t.entryOff(t.relBlock(rest[0])), n, lines[:])
+		for i, b := range rest[:n] {
+			idx := layout.Record(lines[:]).U64(i*EntrySize + feDelPtr)
+			if idx == None || t.decRef(b, idx) {
+				free(b)
+			}
 		}
-		defer mu.Unlock()
-		off := t.entryOff(idx) + feCounts
-		for {
-			w := t.dev.Load64(off)
-			rfc, uc := uint32(w), uint32(w>>32)
-			if rfc == 0 {
-				// No committed references. With UC>0 a transaction is in
-				// flight: keep the block. With UC==0 the entry is a
-				// leftover; scrub-style removal.
-				if uc == 0 {
-					t.removeLocked(prefix, idx, block)
-					return DecRefResult{HasEntry: true, FreeBlock: true}
-				}
-				return DecRefResult{HasEntry: true, FreeBlock: false}
-			}
-			nw := uint64(rfc-1) | uint64(uc)<<32
-			if !t.dev.CAS64(off, w, nw) {
-				continue
-			}
-			t.dev.Persist(off, 8)
-			atomic.AddInt64(&t.stats.DecRefs, 1)
-			if rfc-1 == 0 && uc == 0 {
-				t.removeLocked(prefix, idx, block)
-				return DecRefResult{HasEntry: true, FreeBlock: true, RFC: 0}
-			}
-			return DecRefResult{HasEntry: true, FreeBlock: false, RFC: rfc - 1}
-		}
+		rest = rest[n:]
 	}
 }
 
-// removeLocked deletes the entry from its chain. Per the paper's Fig. 11
-// discussion this costs at most three cache-line flushes: prev.next,
-// next.prev, and the entry itself. DAA heads are cleared in place (the
-// counts word first — the occupancy commit), preserving their chain
-// linkage so the overflow entries stay reachable.
-func (t *Table) removeLocked(prefix, idx, block uint64) {
-	off := t.entryOff(idx)
-	// Clear occupancy first: from here the entry is logically gone.
-	t.dev.PersistStore64(off+feCounts, 0)
-	t.setDelPtr(block, None)
-	if idx == prefix {
-		// DAA head: wipe identity, keep next (chain anchor) intact.
-		var zero [FPSize]byte
-		t.dev.Write(off+feFP, zero[:])
-		t.dev.Store64(off+feBlock, 0)
-		t.dev.Store64(off+fePrev, None)
-		t.dev.Persist(off, EntrySize)
-		atomic.AddInt64(&t.stats.Removes, 1)
-		return
+// decRef drops one reference from block, whose delete pointer named idx
+// when it was read without a lock, and reports whether the block may be
+// freed. A DAA slot heads its own chain; an IAA entry's chain is named by
+// its fingerprint, which has to be peeked unlocked.
+func (t *Table) decRef(block, idx uint64) bool {
+	for {
+		prefix, fp := idx, FP{}
+		if int64(idx) >= t.daa {
+			fp = t.EntryAt(idx).FP
+			prefix = t.PrefixOf(fp)
+		}
+		freed, owner := t.decRefLocked(prefix, block, idx, fp)
+		if owner == None {
+			return freed
+		}
+		idx = owner // raced; retry with the current owner
 	}
-	prev, next := t.prev(idx), t.next(idx)
-	t.setNext(prev, next) // flush 1
-	if next != None {
-		t.setPrev(next, prev) // flush 2
+}
+
+// decRefLocked is one attempt of decRef under prefix's chain lock, validated
+// by one snapshot of the entry: if it holds block (and, for an IAA entry,
+// still has the peeked fingerprint, so this is its chain's lock), it is the
+// entry block's delete pointer names. That rests on an invariant of
+// insertLocked and removeLocked — each changes an entry and its block's
+// delete pointer inside one critical section of the entry's chain lock, and
+// a block has at most one entry, so under that lock "entry idx holds b"
+// implies delptr[b] == idx — which is what lets reclamation stop at the
+// paper's two NVM reads (delete pointer, entry). Only when the snapshot does
+// not match (the entry was removed, its slot maybe reused, before the lock
+// was taken) is the pointer read again: the current owner is returned for a
+// retry, None once the attempt is decided.
+//
+// The decrement starts from the snapshot's counts. One that leaves
+// references or an open transaction is persisted on its own; one that
+// empties the word is not — a zero word already reads as unoccupied, and
+// removeLocked flushes it together with the identity wipe.
+func (t *Table) decRefLocked(prefix, block, idx uint64, fp FP) (freed bool, owner uint64) {
+	mu := t.lockFor(prefix)
+	mu.Lock()
+	defer mu.Unlock()
+	e := t.EntryAt(idx)
+	if e.Block != block || (prefix != idx && e.FP != fp) {
+		owner = t.delPtr(block)
+		return owner == None, owner
 	}
-	// Wipe the slot identity and return it to the IAA free list (flush 3).
-	// The slot's own delete-pointer FIELD is left untouched: it belongs to
-	// the block whose relative number equals this slot index, not to this
-	// entry.
-	var zero [FPSize]byte
-	t.dev.Write(off+feFP, zero[:])
-	t.dev.Store64(off+feBlock, 0)
-	t.dev.Store64(off+fePrev, None)
-	t.dev.Store64(off+feNext, None)
+	off := t.entryOff(idx) + feCounts
+	for w := e.counts(); w != 0; w = t.dev.Load64(off) {
+		if uint32(w) == 0 {
+			return false, None // no committed reference but a transaction in flight: keep
+		}
+		if !t.dev.CAS64(off, w, w-1) {
+			continue // a lock-free commit moved the word: reload
+		}
+		atomic.AddInt64(&t.stats.DecRefs, 1)
+		if w-1 != 0 {
+			t.dev.Persist(off, 8)
+			return false, None
+		}
+		break
+	}
+	// RFC and UC are both zero: the last reference went (or the entry was a
+	// leftover with no counts at all).
+	t.removeLocked(prefix, e)
+	return true, None
+}
+
+// removeLocked deletes the entry from its chain and clears its block's
+// delete pointer. The entry's own line is flushed once: counts=0 is the
+// FIRST store of the line, so any part of the wipe a crash exposes already
+// reads unoccupied. A DAA head keeps its next field (the chain anchor). An
+// IAA node costs the paper's three chain flushes (Fig. 11): itself — with
+// occupancy durable before the unlink, and prev/next left in the slot so
+// recovery can still unlink it as a ghost; insertLocked overwrites them on
+// reuse — then prev.next and next.prev.
+func (t *Table) removeLocked(prefix uint64, e Entry) {
+	off := t.entryOff(e.Idx)
+	t.dev.Store64(off+feCounts, 0)
+	t.storeIdentity(off, FP{}, 0)
 	t.dev.Persist(off, EntrySize)
-	t.freeIAA(idx)
+	if e.Idx != prefix {
+		t.setNext(e.Prev, e.Next)
+		if e.Next != None {
+			t.setPrev(e.Next, e.Prev)
+		}
+	}
+	t.setDelPtr(e.Block, None)
+	if e.Idx != prefix {
+		t.freeIAA(e.Idx)
+	}
 	atomic.AddInt64(&t.stats.Removes, 1)
 }

@@ -98,19 +98,25 @@ func RunReorderAblation(lookups int) (ReorderAblation, error) {
 	return ReorderAblation{AvgWalkOn: on, AvgWalkOff: off, ReordersOn: reorders}, nil
 }
 
-// DeletePointerAblation compares the cost of resolving a block's FACT
-// entry at reclaim time via the delete pointer (two NVM reads, §IV-C)
-// against the alternative the paper rejects: re-reading the 4 KB block and
-// re-fingerprinting it to look the entry up by content.
+// DeletePointerAblation compares reclaiming a block through the delete
+// pointer — the production path, fact.DecRefBatch with a batch of one —
+// against the alternative the paper rejects (§IV-C): re-reading the 4 KB
+// block and re-fingerprinting it to look the entry up by content. The
+// device-access columns are dev.Stats() deltas per block, so they report
+// what the reclaim path really does, not an imitation of it.
 type DeletePointerAblation struct {
-	ViaDeletePtr   time.Duration // per reclaim resolution
-	ViaReFingerprt time.Duration // per reclaim resolution
-	NVMReadsPtr    int64         // cache-line reads per resolution
-	NVMReadsReFP   int64
+	ViaDeletePtr   time.Duration // per decrement through the reclaim path
+	ViaReFingerprt time.Duration // per resolution by content
+	NVMReadsReFP   int64         // cache-line reads per resolution by content
+
+	// A decrement that leaves references behind (RFC 2 -> 1).
+	DecRefReads, DecRefFlushed float64 // line reads, flushed lines
+	// The last reference: the entry is removed from its chain (RFC 1 -> 0).
+	RemoveReads, RemoveFlushed float64
 }
 
-// RunDeletePointerAblation measures both reclaim resolution strategies
-// over the same set of deduplicated blocks.
+// RunDeletePointerAblation measures both strategies over the same set of
+// deduplicated blocks, each referenced twice.
 func RunDeletePointerAblation(blocks int, prof pmem.LatencyProfile) (DeletePointerAblation, error) {
 	devSize := int64(blocks)*pmem.PageSize*4 + (32 << 20)
 	dev := pmem.New(devSize, prof)
@@ -122,41 +128,28 @@ func RunDeletePointerAblation(blocks int, prof pmem.LatencyProfile) (DeletePoint
 	table := fact.New(dev, fact.Config{Base: 0, PrefixBits: n, DataStart: dataStart, NumData: int64(blocks)})
 	table.ZeroFill()
 
-	// Populate: one FACT entry per block with distinct content.
+	// Populate: one FACT entry per block with distinct content, RFC 2.
 	spec := workload.Spec{Name: "abl", FileSize: pmem.PageSize, NumFiles: blocks, DupRatio: 0, Seed: 9}
 	gen := workload.NewGenerator(spec)
 	for i := 0; i < blocks; i++ {
 		data := gen.FileData(i)
 		block := dataStart + uint64(i)
 		dev.WriteNT(int64(block)*pmem.PageSize, data)
-		res, err := table.BeginTxn(dedup.Strong(data), block)
-		if err != nil {
-			return DeletePointerAblation{}, err
+		for ref := 0; ref < 2; ref++ {
+			res, err := table.BeginTxn(dedup.Strong(data), block)
+			if err != nil {
+				return DeletePointerAblation{}, err
+			}
+			table.CommitTxn(res.Idx)
 		}
-		table.CommitTxn(res.Idx)
 	}
 
 	var out DeletePointerAblation
-	// Strategy 1: delete pointer — two NVM reads: the pointer slot, then
-	// the target entry's counts (what the reclaim path inspects).
+	// Strategy 2 first (it leaves the table alone): read the block back and
+	// fingerprint it.
+	page := make([]byte, pmem.PageSize)
 	before := dev.Stats()
 	start := time.Now()
-	for i := 0; i < blocks; i++ {
-		idx, ok := table.DeletePtr(dataStart + uint64(i))
-		if !ok {
-			return out, errMissingEntry
-		}
-		if table.RFC(idx) != 1 {
-			return out, errMissingEntry
-		}
-	}
-	out.ViaDeletePtr = time.Since(start) / time.Duration(blocks)
-	out.NVMReadsPtr = (dev.Stats().ReadLines - before.ReadLines) / int64(blocks)
-
-	// Strategy 2: read the block back and fingerprint it.
-	page := make([]byte, pmem.PageSize)
-	before = dev.Stats()
-	start = time.Now()
 	for i := 0; i < blocks; i++ {
 		block := dataStart + uint64(i)
 		dev.Read(int64(block)*pmem.PageSize, page)
@@ -167,6 +160,30 @@ func RunDeletePointerAblation(blocks int, prof pmem.LatencyProfile) (DeletePoint
 	}
 	out.ViaReFingerprt = time.Since(start) / time.Duration(blocks)
 	out.NVMReadsReFP = (dev.Stats().ReadLines - before.ReadLines) / int64(blocks)
+
+	// Strategy 1: the reclaim path itself, one block per call so that no
+	// block rides on a neighbour's delete-pointer read. The first pass
+	// decrements, the second drops the last reference and removes the entry.
+	release := func() (d pmem.Stats, wall time.Duration, freed int) {
+		one := make([]uint64, 1)
+		before, start := dev.Stats(), time.Now()
+		for i := 0; i < blocks; i++ {
+			one[0] = dataStart + uint64(i)
+			table.DecRefBatch(one, func(uint64) { freed++ })
+		}
+		return dev.Stats().Sub(before), time.Since(start), freed
+	}
+	per := func(lines int64) float64 { return float64(lines) / float64(blocks) }
+	d, wall, freed := release()
+	if freed != 0 {
+		return out, errMissingEntry
+	}
+	out.ViaDeletePtr = wall / time.Duration(blocks)
+	out.DecRefReads, out.DecRefFlushed = per(d.ReadLines), per(d.FlushedLines)
+	if d, _, freed = release(); freed != blocks {
+		return out, errMissingEntry
+	}
+	out.RemoveReads, out.RemoveFlushed = per(d.ReadLines), per(d.FlushedLines)
 	return out, nil
 }
 

@@ -140,8 +140,9 @@ func FormatAblations(re ReorderAblation, dp DeletePointerAblation, es EntrySizeA
 	fmt.Fprintf(&buf, "  avg chain walk, reorder ON:  %.2f entries (%d reorders)\n", re.AvgWalkOn, re.ReordersOn)
 	fmt.Fprintf(&buf, "  avg chain walk, reorder OFF: %.2f entries\n\n", re.AvgWalkOff)
 	fmt.Fprintf(&buf, "Ablation — delete pointer vs re-fingerprinting at reclaim\n")
-	fmt.Fprintf(&buf, "  delete pointer:   %v/op, %d NVM line reads\n", dp.ViaDeletePtr, dp.NVMReadsPtr)
-	fmt.Fprintf(&buf, "  re-fingerprint:   %v/op, %d NVM line reads\n\n", dp.ViaReFingerprt, dp.NVMReadsReFP)
+	fmt.Fprintf(&buf, "  delete pointer:   %v/decrement, %.2f NVM line reads, %.2f flushed lines\n", dp.ViaDeletePtr, dp.DecRefReads, dp.DecRefFlushed)
+	fmt.Fprintf(&buf, "    last reference: %.2f NVM line reads, %.2f flushed lines (entry removed)\n", dp.RemoveReads, dp.RemoveFlushed)
+	fmt.Fprintf(&buf, "  re-fingerprint:   %v/op, %d NVM line reads (resolution only)\n\n", dp.ViaReFingerprt, dp.NVMReadsReFP)
 	fmt.Fprintf(&buf, "Ablation — FACT entry fits one cache line\n")
 	fmt.Fprintf(&buf, "  flushes/dedup txn @64B entries:  %.2f\n", es.FlushesPerTxn64B)
 	fmt.Fprintf(&buf, "  flushes/dedup txn @128B entries: %.2f (computed)\n", es.FlushesPerTxn128B)

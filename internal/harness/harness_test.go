@@ -234,9 +234,15 @@ func TestDeletePointerAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The paper's claim: exactly two NVM reads via the delete pointer.
-	if res.NVMReadsPtr != 2 {
-		t.Errorf("delete-pointer reads = %d, want 2", res.NVMReadsPtr)
+	// The paper's claim, measured on the real reclaim path: two NVM reads
+	// (delete pointer, entry) — one more only for the few entries a prefix
+	// collision pushed into the IAA — and one flushed line per decrement;
+	// removing a DAA entry flushes its line and the delete pointer.
+	if res.DecRefReads < 2 || res.DecRefReads > 2.1 || res.DecRefFlushed != 1 {
+		t.Errorf("decrement: %.2f reads, %.2f flushed lines; want 2 (+IAA peeks) and 1", res.DecRefReads, res.DecRefFlushed)
+	}
+	if res.RemoveReads < 2 || res.RemoveReads > 2.1 || res.RemoveFlushed < 2 || res.RemoveFlushed > 2.1 {
+		t.Errorf("last reference: %.2f reads, %.2f flushed lines; want 2 and 2 (+IAA unlinks)", res.RemoveReads, res.RemoveFlushed)
 	}
 	if res.ViaDeletePtr >= res.ViaReFingerprt {
 		t.Errorf("delete pointer (%v) not faster than re-fingerprinting (%v)", res.ViaDeletePtr, res.ViaReFingerprt)

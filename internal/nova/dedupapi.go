@@ -65,10 +65,6 @@ func (fs *FS) BumpSizeLocked(in *Inode, end uint64) {
 	atomic.AddInt64(&fs.writes, 1)
 }
 
-// FreeDataBlock releases a single data block through the releaser. The
-// dedup engine calls it for blocks it has verified are unreachable.
-func (fs *FS) FreeDataBlock(block uint64) bool { return fs.freeData(block) }
-
 // WalkFiles calls fn for every regular file inode. Used by the FACT
 // scrubber to build its in-use bitmap. fn must not mutate the filesystem.
 func (fs *FS) WalkFiles(fn func(in *Inode)) {

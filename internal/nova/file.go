@@ -185,11 +185,21 @@ func (fs *FS) installRadixLocked(in *Inode, pg0, block uint64, np int64, entryOf
 	}
 }
 
-// reclaimShadowedLocked is step ⑤: it releases the blocks collected by
-// installRadixLocked (through the releaser, so shared blocks survive).
+// reclaimShadowedLocked is step ⑤: it releases the blocks collected in
+// in.shadow — by installRadixLocked, or by a remap, truncate or delete — as
+// one batch: through the releaser when one is installed (it frees what
+// nothing else references, so shared blocks survive), straight back to the
+// free pool otherwise.
 func (fs *FS) reclaimShadowedLocked(in *Inode) {
-	for _, b := range in.shadow {
-		fs.freeData(b)
+	n := int64(len(in.shadow))
+	atomic.AddInt64(&fs.blocksReleased, n)
+	if fs.releaser == nil {
+		for _, b := range in.shadow {
+			fs.alloc.Free(b, 1)
+		}
+		atomic.AddInt64(&fs.blocksFreed, n)
+	} else {
+		fs.releaser.Release(in.shadow, fs.freeFn)
 	}
 	in.shadow = in.shadow[:0]
 }
@@ -205,7 +215,8 @@ func (fs *FS) replaceMappingLocked(in *Inode, pg, newBlock, entryOff uint64) {
 	}
 	fs.dropLiveLocked(in, prev.Entry, 1)
 	if prev.Block != newBlock {
-		fs.freeData(prev.Block)
+		in.shadow = append(in.shadow, prev.Block)
+		fs.reclaimShadowedLocked(in)
 	}
 }
 
@@ -305,10 +316,14 @@ func (fs *FS) ReadCtx(in *Inode, off uint64, buf []byte, sc obs.SpanContext) (in
 func (fs *FS) deleteInodeLocked(in *Inode) {
 	// Staged bytes die with the file: they were never promised durable.
 	in.discardStagingLocked()
+	if n := int(in.pages); cap(in.shadow) < n {
+		in.shadow = make([]uint64, 0, n)
+	}
 	in.tree.Walk(func(_ uint64, v rtree.Value) bool {
-		fs.freeData(v.Block)
+		in.shadow = append(in.shadow, v.Block)
 		return true
 	})
+	fs.reclaimShadowedLocked(in)
 	in.tree.Clear()
 	for _, pg := range in.logPages {
 		fs.alloc.Free(pg, 1)

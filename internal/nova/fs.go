@@ -10,13 +10,14 @@ import (
 	"denova/internal/pmem"
 )
 
-// BlockReleaser arbitrates the reclamation of data blocks. DeNOVA installs
-// a releaser that consults the FACT reference count through the delete
-// pointer (§IV-C): Release returns true when the block may actually be
-// freed (reference count reached zero or the block has no FACT entry), and
-// false when other write entries still point at it.
+// BlockReleaser arbitrates the reclamation of data blocks, an extent at a
+// time. DeNOVA installs a releaser that consults the FACT reference count
+// through the delete pointer (§IV-C): Release drops one reference from each
+// block and calls free for those that may actually be freed (reference
+// count reached zero or the block has no FACT entry); blocks that other
+// write entries still point at are left alone.
 type BlockReleaser interface {
-	Release(block uint64) bool
+	Release(blocks []uint64, free func(block uint64))
 }
 
 // WriteHook is invoked after a write entry has been committed, with the
@@ -41,6 +42,7 @@ type FS struct {
 	root    *Inode
 
 	releaser BlockReleaser
+	freeFn   func(block uint64) // fs.freeBlock, bound once for the releaser
 	onWrite  WriteHook
 	obs      *Observer // metrics/tracing; nil = uninstrumented
 
@@ -51,16 +53,16 @@ type FS struct {
 	clock uint64 // logical mtime counter
 
 	// Stats
-	writes        int64
-	reads         int64
-	blocksFreed   int64
-	blocksSkipped int64 // Release returned false (shared block kept)
-	gcLogPages    int64
-	gcThorough    int64
-	stagedBytes   int64 // bytes accepted by the DRAM fast path
-	relinks       int64 // batched relink commits
-	relinkRuns    int64 // write entries appended by relinks
-	relinkPages   int64 // pages made durable by relinks
+	writes         int64
+	reads          int64
+	blocksFreed    int64
+	blocksReleased int64 // handed to reclaim; the ones not freed were kept by the releaser (shared)
+	gcLogPages     int64
+	gcThorough     int64
+	stagedBytes    int64 // bytes accepted by the DRAM fast path
+	relinks        int64 // batched relink commits
+	relinkRuns     int64 // write entries appended by relinks
+	relinkPages    int64 // pages made durable by relinks
 }
 
 // Option configures Mkfs/Mount.
@@ -68,7 +70,7 @@ type Option func(*FS)
 
 // WithReleaser installs the block releaser consulted before data pages are
 // reclaimed.
-func WithReleaser(r BlockReleaser) Option { return func(fs *FS) { fs.releaser = r } }
+func WithReleaser(r BlockReleaser) Option { return func(fs *FS) { fs.SetReleaser(r) } }
 
 // WithWriteHook installs the post-commit write hook.
 func WithWriteHook(h WriteHook) Option { return func(fs *FS) { fs.onWrite = h } }
@@ -76,7 +78,7 @@ func WithWriteHook(h WriteHook) Option { return func(fs *FS) { fs.onWrite = h } 
 // SetReleaser installs the block releaser after construction (the dedup
 // engine is built on top of a mounted FS, so it cannot be passed as a
 // Mkfs/Mount option).
-func (fs *FS) SetReleaser(r BlockReleaser) { fs.releaser = r }
+func (fs *FS) SetReleaser(r BlockReleaser) { fs.releaser, fs.freeFn = r, fs.freeBlock }
 
 // SetWriteHook installs the post-commit write hook after construction.
 func (fs *FS) SetWriteHook(h WriteHook) { fs.onWrite = h }
@@ -238,16 +240,11 @@ func (fs *FS) FreeBlocks() int64 { return fs.alloc.FreeBlocks() }
 // need it).
 func (fs *FS) Allocator() *Allocator { return fs.alloc }
 
-// freeData releases a data block, consulting the releaser first. Returns
-// true if the block went back to the free pool.
-func (fs *FS) freeData(block uint64) bool {
-	if fs.releaser != nil && !fs.releaser.Release(block) {
-		atomic.AddInt64(&fs.blocksSkipped, 1)
-		return false
-	}
+// freeBlock is the releaser's free callback: one released data block goes
+// back to the free pool.
+func (fs *FS) freeBlock(block uint64) {
 	fs.alloc.Free(block, 1)
 	atomic.AddInt64(&fs.blocksFreed, 1)
-	return true
 }
 
 // Stats is a snapshot of file-system level counters.
@@ -268,11 +265,14 @@ type Stats struct {
 
 // Stats returns a snapshot of the counters.
 func (fs *FS) Stats() Stats {
+	// Freed before released: a batch is counted released before any of it
+	// is freed, so this order keeps the difference non-negative.
+	freed := atomic.LoadInt64(&fs.blocksFreed)
 	return Stats{
 		Writes:        atomic.LoadInt64(&fs.writes),
 		Reads:         atomic.LoadInt64(&fs.reads),
-		BlocksFreed:   atomic.LoadInt64(&fs.blocksFreed),
-		BlocksSkipped: atomic.LoadInt64(&fs.blocksSkipped),
+		BlocksFreed:   freed,
+		BlocksSkipped: atomic.LoadInt64(&fs.blocksReleased) - freed,
 		GCLogPages:    atomic.LoadInt64(&fs.gcLogPages),
 		GCThorough:    atomic.LoadInt64(&fs.gcThorough),
 		StagedBytes:   atomic.LoadInt64(&fs.stagedBytes),

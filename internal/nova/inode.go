@@ -157,7 +157,7 @@ type Inode struct {
 	logPages []uint64       // ordered log page blocks
 	live     map[uint64]int // log page block -> live references
 	pages    uint64         // data pages currently referenced
-	shadow   []uint64       // write-path scratch: blocks shadowed by step ④, freed in ⑤
+	shadow   []uint64       // reclaim scratch: blocks whose mappings just went away, released as one batch (empty between uses)
 
 	stage *stageBuf // files only: DRAM staging for the split write path
 

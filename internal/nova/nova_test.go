@@ -984,7 +984,13 @@ func TestWriteHookFires(t *testing.T) {
 
 type denyReleaser struct{ denied map[uint64]bool }
 
-func (d *denyReleaser) Release(block uint64) bool { return !d.denied[block] }
+func (d *denyReleaser) Release(blocks []uint64, free func(block uint64)) {
+	for _, b := range blocks {
+		if !d.denied[b] {
+			free(b)
+		}
+	}
+}
 
 func TestReleaserVetoKeepsBlock(t *testing.T) {
 	t.Parallel()

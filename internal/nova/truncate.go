@@ -211,9 +211,10 @@ func (fs *FS) applyTruncateLocked(in *Inode, size uint64) {
 		for _, pg := range drop {
 			v, _ := in.tree.Delete(pg)
 			fs.dropLiveLocked(in, v.Entry, 1)
-			fs.freeData(v.Block)
+			in.shadow = append(in.shadow, v.Block)
 			in.pages--
 		}
+		fs.reclaimShadowedLocked(in)
 	}
 	in.size = size
 }

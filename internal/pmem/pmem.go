@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 const (
@@ -147,9 +148,37 @@ func (d *Device) Read(off int64, p []byte) {
 	lines := linesSpanned(off, len(p))
 	atomic.AddInt64(&d.stats.ReadLines, lines)
 	atomic.AddInt64(&d.stats.ReadBytes, int64(len(p)))
-	d.chargeRead(time_Duration(lines)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
+	d.chargeRead(time.Duration(lines)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
 	copy(p, d.buf[off:off+int64(len(p))])
 }
+
+// LoadLines snapshots the n consecutive cache lines starting at the line
+// that holds off into dst (at least n*CacheLineSize bytes). Each line is
+// copied under its word stripe, so it is atomic against every Store64, CAS64
+// and Add64 on that line; it is counted and charged exactly like a Read of n
+// lines — one access plus n line transfers, which is what hardware does once
+// a line is in the CPU cache.
+func (d *Device) LoadLines(off int64, n int, dst []byte) {
+	off &^= CacheLineSize - 1
+	d.check(off, n*CacheLineSize)
+	d.checkDead()
+	if len(dst) < n*CacheLineSize {
+		panic("pmem: LoadLines destination shorter than n lines")
+	}
+	for i := 0; i < n; i++ {
+		mu := &d.atomMu[lineOf(off)%dirtyShards]
+		mu.Lock()
+		copy(dst[i*CacheLineSize:(i+1)*CacheLineSize], d.buf[off:])
+		mu.Unlock()
+		off += CacheLineSize
+	}
+	atomic.AddInt64(&d.stats.ReadLines, int64(n))
+	atomic.AddInt64(&d.stats.ReadBytes, int64(n)*CacheLineSize)
+	d.chargeRead(time.Duration(n)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
+}
+
+// LoadLine is LoadLines for the single line that holds off.
+func (d *Device) LoadLine(off int64, dst *[CacheLineSize]byte) { d.LoadLines(off, 1, dst[:]) }
 
 // Write performs cached stores: the new contents are visible immediately but
 // are not durable until the covering lines are flushed. No media latency is
@@ -184,7 +213,7 @@ func (d *Device) WriteNT(off int64, p []byte) {
 		if d.ShadowEnabled() {
 			atomic.AddInt64(&d.fenceWork, 1)
 		}
-		d.chargeWrite(time_Duration(lines) * d.prof.WritePerLine)
+		d.chargeWrite(time.Duration(lines) * d.prof.WritePerLine)
 		return
 	}
 	// Slow path: copy and persist line by line so an injected crash can
@@ -209,7 +238,7 @@ func (d *Device) WriteNT(off int64, p []byte) {
 	if d.ShadowEnabled() {
 		atomic.AddInt64(&d.fenceWork, 1)
 	}
-	d.chargeWrite(time_Duration(lines) * d.prof.WritePerLine)
+	d.chargeWrite(time.Duration(lines) * d.prof.WritePerLine)
 }
 
 // Flush makes the cache lines covering [off, off+n) durable and charges
@@ -232,7 +261,7 @@ func (d *Device) Flush(off int64, n int) {
 	if d.ShadowEnabled() {
 		d.shadowFlush(redundant)
 	}
-	d.chargeWrite(time_Duration(last-first+1)*d.prof.WritePerLine + d.prof.FlushOverhead)
+	d.chargeWrite(time.Duration(last-first+1)*d.prof.WritePerLine + d.prof.FlushOverhead)
 }
 
 // Fence orders prior flushes. In this model flushes are immediately durable,

@@ -582,3 +582,113 @@ func TestPersistOpsMonotone(t *testing.T) {
 		t.Fatalf("persist ops delta = %d, want 4", after-before)
 	}
 }
+
+// TestLoadLines covers the line-snapshot primitive: an unaligned offset
+// names the line that holds it, n lines come back in order, and the call is
+// counted and charged like one Read of n lines.
+func TestLoadLines(t *testing.T) {
+	t.Parallel()
+	d := New(PageSize, LatencyProfile{ReadAccessOverhead: 1000, ReadPerLine: 10})
+	for l := int64(0); l < 4; l++ {
+		d.Store64(l*CacheLineSize+8, uint64(100+l))
+	}
+	d.ResetStats()
+
+	var one [CacheLineSize]byte
+	d.LoadLine(CacheLineSize+13, &one) // inside line 1
+	if got := binary.LittleEndian.Uint64(one[8:]); got != 101 {
+		t.Fatalf("LoadLine(unaligned) read word %d, want line 1's 101", got)
+	}
+	buf := make([]byte, 3*CacheLineSize)
+	d.LoadLines(CacheLineSize+63, 3, buf) // lines 1..3
+	for i := 0; i < 3; i++ {
+		if got := binary.LittleEndian.Uint64(buf[i*CacheLineSize+8:]); got != uint64(101+i) {
+			t.Fatalf("LoadLines line %d = %d, want %d", i, got, 101+i)
+		}
+	}
+	s := d.Stats()
+	if s.ReadLines != 4 || s.ReadBytes != 4*CacheLineSize {
+		t.Errorf("ReadLines=%d ReadBytes=%d, want 4 lines / %d bytes", s.ReadLines, s.ReadBytes, 4*CacheLineSize)
+	}
+	// Two accesses, four line transfers — not four accesses.
+	if want := int64(2*1000 + 4*10); s.SimLatencyNs != want {
+		t.Errorf("SimLatencyNs = %d, want %d", s.SimLatencyNs, want)
+	}
+}
+
+func TestLoadLinesPanics(t *testing.T) {
+	t.Parallel()
+	d := newDev(t, 1)
+	buf := make([]byte, 2*CacheLineSize)
+	dead := newDev(t, 1)
+	dead.Store64(0, 1)
+	dead.SetCrashAfter(1)
+	if !RunToCrash(func() { dead.Persist(0, 8) }) {
+		t.Fatal("setup: crash did not fire")
+	}
+	for name, fn := range map[string]func(){
+		"past the end":   func() { d.LoadLines(PageSize-CacheLineSize, 2, buf) },
+		"negative":       func() { d.LoadLine(-1, (*[CacheLineSize]byte)(buf)) },
+		"short dst":      func() { d.LoadLines(0, 2, buf[:CacheLineSize]) },
+		"crashed device": func() { dead.LoadLine(0, (*[CacheLineSize]byte)(buf)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestLoadLineAtomicAgainstWordStores runs snapshots against CAS64, Store64
+// and Add64 on the same line: under -race any unsynchronised copy is
+// reported, and every snapshot must hold a whole value of each word.
+func TestLoadLineAtomicAgainstWordStores(t *testing.T) {
+	t.Parallel()
+	d := newDev(t, 1)
+	const iters = 2000
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // word 0: CAS between two patterns
+		defer wg.Done()
+		a, b := uint64(0), ^uint64(0)
+		for i := 0; i < iters; i++ {
+			if !d.CAS64(0, a, b) {
+				t.Error("CAS64 lost its own word")
+				return
+			}
+			a, b = b, a
+		}
+	}()
+	go func() { // word 1: stores of two patterns
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			d.Store64(8, uint64(i%2)*^uint64(0))
+		}
+	}()
+	go func() { // word 2: a counter
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			d.Add64(16, 1)
+		}
+	}()
+	var line [CacheLineSize]byte
+	var last uint64
+	for i := 0; i < iters; i++ {
+		d.LoadLine(0, &line)
+		for _, w := range []uint64{binary.LittleEndian.Uint64(line[0:]), binary.LittleEndian.Uint64(line[8:])} {
+			if w != 0 && w != ^uint64(0) {
+				t.Fatalf("torn word %#x", w)
+			}
+		}
+		if c := binary.LittleEndian.Uint64(line[16:]); c < last {
+			t.Fatalf("counter went back: %d after %d", c, last)
+		} else {
+			last = c
+		}
+	}
+	wg.Wait()
+}

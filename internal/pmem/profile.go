@@ -6,10 +6,6 @@ import (
 	"time"
 )
 
-// time_Duration converts a line count to a duration multiplier. It exists so
-// arithmetic in pmem.go reads as "lines * per-line latency".
-func time_Duration(n int64) time.Duration { return time.Duration(n) }
-
 // LatencyProfile describes the media timing of a memory device. Durations
 // of zero disable latency injection for that operation class; counters are
 // kept regardless. The model has two components per operation class:
