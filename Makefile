@@ -1,11 +1,18 @@
 GO ?= go
 
-.PHONY: all build lint vet test race torture bench bench-recovery bench-json bench-append slo slowcap serve-smoke clean
+.PHONY: all build loc lint vet test race torture bench bench-recovery bench-json bench-append slo slowcap serve-smoke clean
 
 all: build lint test
 
 build:
 	$(GO) build ./...
+
+# loc = non-test Go lines per package and for the root module (benchmark/,
+# its own module, excluded): the number ROADMAP tracks and expects to fall.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*' -exec wc -l {} + \
+		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d root module\n", t }'
 
 # lint = the compiler's vet plus DeNOVA's own analyzers (persistcheck,
 # atomcheck, fencecheck, lockcheck, atomfieldcheck — see internal/analysis).

@@ -41,6 +41,7 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -127,6 +128,18 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// createOrOpen returns the named file, creating it when it does not exist.
+func createOrOpen(fs *denova.FS, name string) *denova.File {
+	f, err := fs.Create(name)
+	if errors.Is(err, denova.ErrExists) {
+		f, err = fs.Open(name)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	return f
+}
+
 func cfg() denova.Config {
 	m, err := parseMode(*mode)
 	if err != nil {
@@ -198,13 +211,7 @@ func fillPage(p []byte, i uint64) {
 // out of space; write errors end the workload quietly (the dashboard keeps
 // refreshing on whatever was recorded).
 func driveWorkload(fs *denova.FS, stop <-chan struct{}) {
-	f, err := fs.Create("denovactl.top")
-	if err == denova.ErrExist {
-		f, err = fs.Open("denovactl.top")
-	}
-	if err != nil {
-		fatal(err)
-	}
+	f := createOrOpen(fs, "denovactl.top")
 	const window = 512 // pages (2 MiB logical footprint)
 	page := make([]byte, pageSize)
 	rbuf := make([]byte, pageSize)
@@ -337,13 +344,7 @@ func runTrace(n int, crashAfter int64, out, opFilter string, minDur time.Duratio
 	c.Tracing = denova.TraceFine
 	fs, dev := mountCfg(c)
 	work := func() {
-		f, err := fs.Create("denovactl.trace")
-		if err == denova.ErrExist {
-			f, err = fs.Open("denovactl.trace")
-		}
-		if err != nil {
-			fatal(err)
-		}
+		f := createOrOpen(fs, "denovactl.trace")
 		page := make([]byte, pageSize)
 		for i := uint64(0); i < 64; i++ {
 			fillPage(page, i)
@@ -447,13 +448,7 @@ func runSlow(threshold time.Duration, out, addr string) {
 	c.Tracing = denova.TraceFine
 	c.SlowSpanThreshold = threshold
 	fs, _ := mountCfg(c)
-	f, err := fs.Create("denovactl.slow")
-	if err == denova.ErrExist {
-		f, err = fs.Open("denovactl.slow")
-	}
-	if err != nil {
-		fatal(err)
-	}
+	f := createOrOpen(fs, "denovactl.slow")
 	page := make([]byte, pageSize)
 	for i := uint64(0); i < 256; i++ {
 		fillPage(page, i)
@@ -513,13 +508,7 @@ func main() {
 			fatal(err)
 		}
 		fs, dev := mount()
-		f, err := fs.Create(args[1])
-		if err == denova.ErrExist {
-			f, err = fs.Open(args[1])
-		}
-		if err != nil {
-			fatal(err)
-		}
+		f := createOrOpen(fs, args[1])
 		if _, err := f.WriteAt(data, 0); err != nil {
 			fatal(err)
 		}

@@ -441,24 +441,6 @@ func (f *FS) ForceGC(name string) (int, error) {
 	return f.fs.ForceThoroughGC(in), nil
 }
 
-// Deprecated: use StatsSnapshot().Queue.Len.
-func (f *FS) QueueLen() int { return f.StatsSnapshot().Queue.Len }
-
-// Deprecated: use StatsSnapshot().Queue.Peak.
-func (f *FS) QueuePeak() int { return f.StatsSnapshot().Queue.Peak }
-
-// Deprecated: use StatsSnapshot().Queue.Shards.
-func (f *FS) QueueShardLens() []int { return f.StatsSnapshot().Queue.Shards }
-
-// Deprecated: use StatsSnapshot().Workers.
-func (f *FS) WorkerStats() []dedup.WorkerStat { return f.StatsSnapshot().Workers }
-
-// Deprecated: use StatsSnapshot().Geometry.
-func (f *FS) Geometry() (deviceBytes, factBytes, dataBytes int64) {
-	g := f.StatsSnapshot().Geometry
-	return g.DeviceBytes, g.FactBytes, g.DataBytes
-}
-
 // SetLingerHook observes each DWQ node's queue residence time (Fig. 10).
 // Safe while the daemon runs; set it before writes begin to see every
 // node. The hook composes with the metrics queue-wait histogram; both

@@ -151,7 +151,7 @@ func applyOps(t *testing.T, fs *FS, ops []fsOp) map[string][]byte {
 		switch op.kind {
 		case 0, 1:
 			f, err := fs.Open(name)
-			if err == ErrNotExist {
+			if err == ErrNotFound {
 				f, err = fs.Create(name)
 			}
 			if err != nil {
@@ -176,7 +176,7 @@ func applyOps(t *testing.T, fs *FS, ops []fsOp) map[string][]byte {
 					t.Fatal(err)
 				}
 				delete(model, name)
-			} else if err != ErrNotExist {
+			} else if err != ErrNotFound {
 				t.Fatalf("remove missing: %v", err)
 			}
 		case 3:
@@ -487,7 +487,7 @@ func TestDirectoriesEndToEnd(t *testing.T) {
 	if st.Space.PhysicalPages != 2 || st.Space.LogicalPages != 4 {
 		t.Fatalf("dedup across directories broken: %+v", st.Space)
 	}
-	if err := fs.Mkdir("photos"); err != ErrExist {
+	if err := fs.Mkdir("photos"); err != ErrExists {
 		t.Fatalf("duplicate mkdir: %v", err)
 	}
 	entries, err := fs.List("photos/2026")

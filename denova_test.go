@@ -120,7 +120,7 @@ func TestInlineModeDedups(t *testing.T) {
 	if !bytes.Equal(readAll(t, f), data) {
 		t.Fatal("content damaged")
 	}
-	if fs.QueueLen() != 0 {
+	if fs.StatsSnapshot().Queue.Len != 0 {
 		t.Fatal("inline mode enqueued DWQ work")
 	}
 }
@@ -145,17 +145,17 @@ func TestDelayedModeEventuallyDedups(t *testing.T) {
 
 func TestOpenMissingAndRemove(t *testing.T) {
 	_, fs := mkFS(t, Config{})
-	if _, err := fs.Open("nope"); err != ErrNotExist {
+	if _, err := fs.Open("nope"); err != ErrNotFound {
 		t.Fatalf("Open missing: %v", err)
 	}
 	writeAll(t, fs, "f", page(1))
-	if _, err := fs.Create("f"); err != ErrExist {
+	if _, err := fs.Create("f"); err != ErrExists {
 		t.Fatalf("duplicate create: %v", err)
 	}
 	if err := fs.Remove("f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Remove("f"); err != ErrNotExist {
+	if err := fs.Remove("f"); err != ErrNotFound {
 		t.Fatalf("double remove: %v", err)
 	}
 }
@@ -206,8 +206,8 @@ func TestCleanRemountWithPendingQueue(t *testing.T) {
 	data := npages(3)
 	writeAll(t, fs, "a", data)
 	writeAll(t, fs, "b", data)
-	if fs.QueueLen() != 2 {
-		t.Fatalf("queue len = %d", fs.QueueLen())
+	if fs.StatsSnapshot().Queue.Len != 2 {
+		t.Fatalf("queue len = %d", fs.StatsSnapshot().Queue.Len)
 	}
 	fs.Unmount() // snapshot saved with 2 pending nodes
 	fs2, info, err := Mount(dev, Config{Mode: ModeImmediate})

@@ -35,12 +35,3 @@ var (
 	// API.
 	ErrRetry = errors.New("denova: server busy, retry")
 )
-
-// Deprecated aliases kept for source compatibility with the pre-serving
-// API. New code should use the canonical names above.
-var (
-	// Deprecated: use ErrExists.
-	ErrExist = ErrExists
-	// Deprecated: use ErrNotFound.
-	ErrNotExist = ErrNotFound
-)

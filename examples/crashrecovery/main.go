@@ -35,7 +35,7 @@ func main() {
 		}
 	}
 	fmt.Printf("wrote 2 identical files, %d bytes each; dedup queue length: %d\n",
-		len(payload), fs.QueueLen())
+		len(payload), fs.StatsSnapshot().Queue.Len)
 
 	// Arm the crash injector: power fails at the 25th persist operation of
 	// the upcoming deduplication transaction.

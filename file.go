@@ -227,9 +227,5 @@ func (fl *File) TruncateSpan(size int64, sc SpanContext) error {
 	if size < 0 {
 		return fmt.Errorf("truncate to %d: negative size: %w", size, ErrInvalid)
 	}
-	flag := uint8(nova.FlagNone)
-	if fl.fs.cfg.Mode == ModeImmediate || fl.fs.cfg.Mode == ModeDelayed {
-		flag = nova.FlagNeeded
-	}
-	return fl.fs.fs.TruncateCtx(fl.in, uint64(size), flag, sc)
+	return fl.fs.fs.TruncateCtx(fl.in, uint64(size), fl.fs.writeFlag(), sc)
 }

@@ -39,6 +39,7 @@ var fixtureWant = map[string]string{
 	"interbad.go":            "persistcheck",
 	"atombad.go":             "atomcheck",
 	"fencebad.go":            "fencecheck",
+	"fencecallerbad.go":      "fencecheck",
 	"doubleflushbad.go":      "fencecheck",
 	"lockinvbad.go":          "lockcheck",
 	"lockdoublebad.go":       "lockcheck",

@@ -11,8 +11,10 @@ import (
 //
 //  1. fence-without-flush: a Fence() with no flush-class work (Flush,
 //     Persist, PersistStore64, WriteNT — direct or in a callee invoked
-//     earlier) anywhere before it in the function. A fence orders prior
-//     flushes; with none, it only burns its overhead.
+//     earlier) anywhere before it in the function, nor before the call on
+//     every path into the function (nova's log commit fences the flushes
+//     its callers' appends left unordered). A fence orders prior flushes;
+//     with none, it only burns its overhead.
 //  2. double-flush: two Flush/Persist calls with identical arguments in the
 //     same statement block with no device store between them — the second
 //     flushes lines that are already durable, a pure media-latency waste
@@ -27,7 +29,7 @@ var Fencecheck = &Check{
 func runFencecheck(prog *Program, report func(pos token.Pos, format string, args ...any)) {
 	for _, pkg := range prog.Targets {
 		for _, fn := range prog.funcsOf(pkg) {
-			checkFenceWithoutFlush(fn, report)
+			checkFenceWithoutFlush(prog, fn, report)
 		}
 		for _, fn := range functionsOf(pkg) {
 			inspectShallow(fn.body, func(n ast.Node) bool {
@@ -43,7 +45,7 @@ func runFencecheck(prog *Program, report func(pos token.Pos, format string, args
 // checkFenceWithoutFlush replays the event stream in execution order; a
 // call to a callee whose summary says it flushes counts as flush-class
 // work, so `writeInode(...); dev.Fence()` is clean without a directive.
-func checkFenceWithoutFlush(fn *FuncNode, report func(pos token.Pos, format string, args ...any)) {
+func checkFenceWithoutFlush(prog *Program, fn *FuncNode, report func(pos token.Pos, format string, args ...any)) {
 	flushed := false
 	for _, ev := range fn.ordered() {
 		switch ev.kind {
@@ -54,8 +56,8 @@ func checkFenceWithoutFlush(fn *FuncNode, report func(pos token.Pos, format stri
 				flushed = true
 			}
 		case evFence:
-			if !flushed {
-				report(ev.pos, "%s: Fence with no preceding Flush/Persist in this function or its callees orders nothing", fn.Name)
+			if !flushed && !prog.flushedOnEntry(fn, make(map[*FuncNode]bool)) {
+				report(ev.pos, "%s: Fence with no preceding Flush/Persist in this function, its callees or before the call on every caller path orders nothing", fn.Name)
 			}
 		}
 	}

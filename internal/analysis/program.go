@@ -340,6 +340,36 @@ func (p *Program) discharged(fn *FuncNode, visiting map[*FuncNode]bool) bool {
 	return true
 }
 
+// flushedOnEntry is discharged's mirror image for fences: it reports
+// whether every call path into fn has performed flush-class work by the
+// time it makes the call — in the caller before the call site, or on every
+// path into the caller. No callers and recursion cycles answer false.
+func (p *Program) flushedOnEntry(fn *FuncNode, visiting map[*FuncNode]bool) bool {
+	if len(fn.callers) == 0 || visiting[fn] {
+		return false
+	}
+	visiting[fn] = true
+	defer delete(visiting, fn)
+	for _, e := range fn.callers {
+		if !p.flushBefore(e.caller, e.pos) && !p.flushedOnEntry(e.caller, visiting) {
+			return false
+		}
+	}
+	return true
+}
+
+// flushBefore reports whether fn performs non-deferred flush-class work
+// (direct, a WriteNT, or via a flushing callee) before pos.
+func (p *Program) flushBefore(fn *FuncNode, pos token.Pos) bool {
+	for _, ev := range fn.events {
+		flushy := ev.kind == evFlush || ev.kind == evWriteNT || (ev.kind == evCall && ev.callee.flushes)
+		if flushy && !ev.deferred && ev.pos < pos {
+			return true
+		}
+	}
+	return false
+}
+
 // flushAfter reports whether fn performs flush-class work after pos: a
 // later non-deferred flush (direct or via a flushing callee), or any
 // deferred flush (deferred work runs at exit, after every call site).

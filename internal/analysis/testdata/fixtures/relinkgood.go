@@ -16,3 +16,23 @@ func relinkCommit(d *pmem.Device) {
 	d.Fence()
 	d.PersistStore64(4096, 1)
 }
+
+// logAppend / logCommit split the same batch across nova's log primitives:
+// the append flushes without fencing, and the commit's fence orders flushes
+// it did not issue itself — every caller appends before it commits, which
+// is what fencecheck must see.
+func logAppend(d *pmem.Device, off int64) {
+	d.Write(off, make([]byte, 64))
+	d.Flush(off, 64)
+}
+
+func logCommit(d *pmem.Device) {
+	d.Fence()
+	d.PersistStore64(4096, 1)
+}
+
+func logTransaction(d *pmem.Device) {
+	logAppend(d, 0)
+	logAppend(d, 64)
+	logCommit(d)
+}

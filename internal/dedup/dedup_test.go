@@ -1046,3 +1046,33 @@ func TestDWQPeakTracking(t *testing.T) {
 		t.Fatalf("Peak = %d, want 5", q.Peak())
 	}
 }
+
+// TestRemapCommitBudget is the dedup side of nova's TestCommitBudget:
+// draining a node of k duplicate pages appends k remap entries and commits
+// them once. Every page past the first adds four flushed lines — its remap
+// entry, its FACT counts word at BeginTxn and again in CommitTxnBatch, the
+// entry's dedupe-flag turning complete — and two fences, BeginTxn's and the
+// flag's, none for the append: the k entries ride the one fence of the
+// commit.
+func TestRemapCommitBudget(t *testing.T) {
+	t.Parallel()
+	r := newRig(t)
+	r.write(t, "canonical", pages(1, 2, 3))
+	r.engine.Drain()
+	for k, want := range []struct{ fences, flushed int64 }{1: {7, 7}, 2: {9, 11}, 3: {11, 15}} {
+		if k == 0 {
+			continue
+		}
+		r.write(t, fmt.Sprintf("dup%d", k), pages(1, 2, 3)[:k*ChunkSize])
+		before := r.dev.Stats()
+		r.engine.Drain()
+		c := r.dev.Stats().Sub(before)
+		if c.Fences != want.fences || c.FlushedLines != want.flushed || c.NTLines != 0 {
+			t.Errorf("node of %d duplicate pages: %d fences / %d flushed lines / %d NT lines, want %d / %d / 0",
+				k, c.Fences, c.FlushedLines, c.NTLines, want.fences, want.flushed)
+		}
+	}
+	if got := r.engine.Stats().PagesDuplicate; got != 6 {
+		t.Errorf("PagesDuplicate = %d, want 6", got)
+	}
+}

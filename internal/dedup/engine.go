@@ -247,18 +247,15 @@ func (e *Engine) ProcessEntry(node Node, sc *Scratch) bool {
 	sc.txns = txns
 	stage(obs.OpDedupFingerprint, uint64(len(txns)))
 
-	// ④ Append a remapping write entry per duplicate page.
+	// ④ Append a remapping write entry per duplicate page: each reserves
+	// its own log slot and lands flushed but unfenced.
 	size := in.SizeLocked()
 	for i := range txns {
 		txn := &txns[i]
 		if !txn.dup {
 			continue
 		}
-		endOff := (txn.pg + 1) * nova.PageSize
-		if endOff > size {
-			endOff = size
-		}
-		off, err := e.fs.AppendDedupEntryLocked(in, txn.pg, txn.canonical, endOff, nova.FlagInProcess)
+		off, err := e.fs.AppendDedupEntryLocked(in, txn.pg, txn.canonical, size, nova.FlagInProcess)
 		if err != nil {
 			// Log append failed (out of space): abandon this page's remap
 			// and drop its update count; the page simply stays un-deduped.
@@ -269,8 +266,8 @@ func (e *Engine) ProcessEntry(node Node, sc *Scratch) bool {
 		txn.entryOff = off
 	}
 
-	// ⑤ One atomic tail store publishes all appended entries; the target
-	// entry enters in_process.
+	// ⑤ One fence orders the appended entries and one atomic tail store
+	// publishes them all; the target entry enters in_process.
 	e.fs.CommitLocked(in)
 	nova.SetDedupeFlag(e.fs.Dev, node.EntryOff, nova.FlagInProcess)
 

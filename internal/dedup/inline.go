@@ -68,14 +68,11 @@ func (e *Engine) WriteInline(in *nova.Inode, off uint64, data []byte) error {
 	}
 
 	// Append one write entry per page (duplicates and uniques alike point
-	// at their canonical block) and commit them with a single tail store.
+	// at their canonical block) and commit them with one fence and a single
+	// tail store.
 	for i := range plans {
 		p := &plans[i]
-		endOff := (p.pg + 1) * nova.PageSize
-		if endOff > end {
-			endOff = end
-		}
-		eoff, err := e.fs.AppendDedupEntryLocked(in, p.pg, p.canonical, endOff, nova.FlagComplete)
+		eoff, err := e.fs.AppendDedupEntryLocked(in, p.pg, p.canonical, end, nova.FlagComplete)
 		if err != nil {
 			// Roll the remaining transactions back; entries already
 			// appended are not yet committed (tail unchanged) and will be

@@ -22,34 +22,42 @@ func (fs *FS) ReadBlock(block uint64, buf []byte) {
 	fs.Dev.Read(int64(block)*PageSize, buf[:n])
 }
 
-// AppendDedupEntryLocked appends — without committing — a one-page write
-// entry pointing file page pg of in at the canonical block (step ④ of
-// Fig. 6). endOff caps the entry's size contribution so recovery does not
-// inflate the file size past its true end.
-func (fs *FS) AppendDedupEntryLocked(in *Inode, pg, block, endOff uint64, flag uint8) (uint64, error) {
-	entry := WriteEntry{
+// AppendDedupEntryLocked appends — flushed, but neither fenced nor
+// committed — a one-page write entry pointing file page pg of in at the
+// canonical block (step ④ of Fig. 6). The entry's size contribution is its
+// page's end capped at sizeCap, so recovery does not inflate the file size
+// past its true end. It reserves its own log slot, so a full device fails
+// this page alone and leaves the entries appended before it in place for
+// CommitLocked.
+func (fs *FS) AppendDedupEntryLocked(in *Inode, pg, block, sizeCap uint64, flag uint8) (uint64, error) {
+	if err := fs.reserve(in, 1); err != nil {
+		return 0, err
+	}
+	return fs.append(in, encodeWriteEntry(WriteEntry{
 		DedupeFlag: flag,
 		NumPages:   1,
 		PgOff:      pg,
 		Block:      block,
-		EndOff:     endOff,
+		EndOff:     min((pg+1)*PageSize, sizeCap),
 		Ino:        in.ino,
 		Mtime:      in.mtime, // dedup is content-neutral; mtime unchanged
 		Seq:        fs.nextSeq(),
-	}
-	return fs.appendEntryLocked(in, encodeWriteEntry(entry))
+	})), nil
 }
 
-// CommitLocked publishes all entries appended since the last commit with a
-// single atomic persistent store of the inode log tail (step ⑤ of Fig. 6).
-func (fs *FS) CommitLocked(in *Inode) { fs.commitTailLocked(in) }
+// CommitLocked publishes all entries appended since the last commit with
+// one fence and a single atomic persistent store of the inode log tail
+// (step ⑤ of Fig. 6).
+func (fs *FS) CommitLocked(in *Inode) { fs.commit(in) }
 
 // RemapLocked points file page pg at (block, entryOff), maintaining log
 // live counts and releasing the shadowed block through the releaser. Used
 // by the dedup engine after its log commit to retire duplicate copies.
 func (fs *FS) RemapLocked(in *Inode, pg, block, entryOff uint64) {
-	in.addLiveLocked(entryOff, 1)
-	fs.replaceMappingLocked(in, pg, block, entryOff)
+	fs.installRadixLocked(in, pg, block, 1, entryOff)
+	if len(in.shadow) > 0 {
+		fs.reclaimShadowedLocked(in)
+	}
 }
 
 // SizeLocked returns the file size; the caller holds the inode lock.
@@ -65,8 +73,9 @@ func (fs *FS) BumpSizeLocked(in *Inode, end uint64) {
 	atomic.AddInt64(&fs.writes, 1)
 }
 
-// WalkFiles calls fn for every regular file inode. Used by the FACT
-// scrubber to build its in-use bitmap. fn must not mutate the filesystem.
+// WalkFiles calls fn, with no lock held, for every regular file inode that
+// exists when it is called: the FACT scrubber builds its in-use bitmap with
+// it, RelinkAll drains staging buffers. fn must not create or delete files.
 func (fs *FS) WalkFiles(fn func(in *Inode)) {
 	fs.imu.RLock()
 	files := make([]*Inode, 0, len(fs.inodes))

@@ -136,20 +136,10 @@ func (fs *FS) createInode(path string, dir bool) (*Inode, error) {
 		fs.releaseInodeSlot(ino)
 		return nil, err
 	}
-	rec, err := encodeDentry(Dentry{Ino: ino, Name: leaf})
-	if err == nil {
-		_, err = fs.appendEntryLocked(parent, rec)
-	}
-	if err != nil {
-		func() {
-			in.mu.Lock()
-			defer in.mu.Unlock()
-			fs.deleteInodeLocked(in)
-		}()
-		fs.releaseInodeSlot(ino)
+	if err := fs.logDentryLocked(parent, Dentry{Ino: ino, Name: leaf}); err != nil {
+		fs.destroyInode(in)
 		return nil, err
 	}
-	fs.commitTailLocked(parent)
 	parent.names[leaf] = ino
 	return in, nil
 }
@@ -213,14 +203,9 @@ func (fs *FS) Names() []string {
 
 // removeDentryLocked appends and commits a remove-dentry. Parent locked.
 func (fs *FS) removeDentryLocked(parent *Inode, leaf string, ino uint64) error {
-	rec, err := encodeDentry(Dentry{Remove: true, Ino: ino, Name: leaf})
-	if err != nil {
+	if err := fs.logDentryLocked(parent, Dentry{Remove: true, Ino: ino, Name: leaf}); err != nil {
 		return err
 	}
-	if _, err := fs.appendEntryLocked(parent, rec); err != nil {
-		return err
-	}
-	fs.commitTailLocked(parent)
 	delete(parent.names, leaf)
 	return nil
 }
@@ -255,14 +240,17 @@ func (fs *FS) Delete(path string) error {
 	if err != nil {
 		return err
 	}
-
-	func() {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		fs.deleteInodeLocked(in)
-	}()
-	fs.releaseInodeSlot(in.ino)
+	fs.destroyInode(in)
 	return nil
+}
+
+// destroyInode tears down a file or directory no dentry names (any more, or
+// yet) and returns its inode slot.
+func (fs *FS) destroyInode(in *Inode) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	fs.deleteInodeLocked(in)
+	fs.releaseInodeSlot(in.ino)
 }
 
 // Rmdir removes an empty directory.
@@ -296,13 +284,7 @@ func (fs *FS) Rmdir(path string) error {
 		if err := fs.removeDentryLocked(parent, leaf, ino); err != nil {
 			return 0, err
 		}
-		// Tear the directory inode down: free its log chain, invalidate.
-		for _, pg := range in.logPages {
-			fs.alloc.Free(pg, 1)
-		}
-		in.logPages = nil
-		in.live = map[uint64]int{}
-		fs.Dev.PersistStore64(fs.inodeOff(in.ino)+inFlags, 0)
+		fs.deleteInodeLocked(in) // no data to release: frees the log chain, invalidates
 		return ino, nil
 	}()
 	if err != nil {

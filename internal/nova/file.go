@@ -3,21 +3,15 @@ package nova
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
+	"denova/internal/layout"
 	"denova/internal/obs"
 	"denova/internal/rtree"
 )
 
-// Write implements the five-step CoW write flow of Fig. 1:
-//
-//	① allocate contiguous data pages, merging partial head/tail pages,
-//	② fill them (non-temporal stores) with user data and carried-over bytes,
-//	③ append a [filepgoff, numpages] write entry and commit the log tail
-//	   with an atomic 64-bit persistent store,
-//	④ update the DRAM radix tree, and
-//	⑤ reclaim the shadowed data pages (through the block releaser).
-//
+// Write is the CoW write of Fig. 1, the slow path: the byte range becomes
+// one extent of whole pages (partial first/last pages merged with their
+// current content) and goes through commitExtentsLocked's five steps.
 // flag is the initial dedupe-flag of the entry (FlagNone on plain NOVA,
 // FlagNeeded when deduplication is enabled). It returns the device offset
 // of the committed write entry.
@@ -37,6 +31,9 @@ func (fs *FS) WriteCtx(in *Inode, off uint64, data []byte, flag uint8, sc obs.Sp
 	return fs.writeLocked(in, off, data, flag, sc)
 }
 
+// writeLocked is the slow path: a batch of one. It builds one extent from
+// the caller's buffer and commits it. It alone triggers thorough GC — relink,
+// truncate and dedup remaps grow the log too but never compact it.
 func (fs *FS) writeLocked(in *Inode, off uint64, data []byte, flag uint8, sc obs.SpanContext) (uint64, error) {
 	if in.dir {
 		return 0, fmt.Errorf("write: inode %d: %w", in.ino, ErrIsDir)
@@ -46,46 +43,17 @@ func (fs *FS) writeLocked(in *Inode, off uint64, data []byte, flag uint8, sc obs
 	if _, err := fs.relinkLocked(in); err != nil {
 		return 0, err
 	}
-	// Observability: op-level timing costs two clock reads per write; the
-	// per-step breakdown (and its extra clock reads) only at the fine level.
-	o := fs.obs
-	fine := o != nil && o.Fine
-	var start, mark time.Time
-	var dAlloc, dFill, dLog, dRadix, dReclaim time.Duration
-	var wsc obs.SpanContext
-	if o != nil {
-		wsc = o.Tracer.ChildOrRoot(sc, sc.Tenant)
-		start = time.Now()
-		mark = start
-	}
-	step := func(d *time.Duration) {
-		if fine {
-			now := time.Now()
-			*d = now.Sub(mark)
-			mark = now
-		}
-	}
+	t := fs.beginOp(sc)
 
-	pg0 := off / PageSize
-	pgEnd := (off + uint64(len(data)) - 1) / PageSize
+	// Fully page-aligned writes stream the caller's buffer straight to the
+	// device; partial first/last pages are assembled with the carried-over
+	// bytes from their current mapping (CoW).
+	end := off + uint64(len(data))
+	pg0, pgEnd := off/PageSize, (end-1)/PageSize
 	np := int64(pgEnd - pg0 + 1)
-
-	// ① Allocate. NOVA write entries describe one contiguous block run.
-	block, err := fs.alloc.Alloc(int(in.ino), np)
-	if err != nil {
-		return 0, err
-	}
-	step(&dAlloc)
-
-	// ② Fill the pages. Fully page-aligned writes stream the caller's
-	// buffer straight to the device; partial first/last pages are assembled
-	// with the carried-over bytes from their current mapping (CoW).
-	headPad := off % PageSize
-	tailEnd := (off + uint64(len(data))) % PageSize
-	if headPad == 0 && tailEnd == 0 {
-		fs.Dev.WriteNT(int64(block)*PageSize, data)
-	} else {
-		buf := make([]byte, np*PageSize)
+	buf := data
+	if headPad, tailEnd := off%PageSize, end%PageSize; headPad != 0 || tailEnd != 0 {
+		buf = make([]byte, np*PageSize)
 		if headPad != 0 || (np == 1 && tailEnd != 0) {
 			fs.readPageInto(in, pg0, buf[:PageSize])
 		}
@@ -93,73 +61,137 @@ func (fs *FS) writeLocked(in *Inode, off uint64, data []byte, flag uint8, sc obs
 			fs.readPageInto(in, pgEnd, buf[(np-1)*PageSize:])
 		}
 		copy(buf[headPad:], data)
-		fs.Dev.WriteNT(int64(block)*PageSize, buf)
+		t.step(stepFill)
 	}
-	step(&dFill)
-
-	// ③ Append the write entry and commit the tail atomically.
-	end := off + uint64(len(data))
-	entry := WriteEntry{
-		DedupeFlag: flag,
-		NumPages:   uint32(np),
-		PgOff:      pg0,
-		Block:      block,
-		EndOff:     end,
-		Ino:        in.ino,
-		Mtime:      fs.tick(),
-		Seq:        fs.nextSeq(),
-	}
-	entryOff, err := fs.appendEntryLocked(in, encodeWriteEntry(entry))
-	if err != nil {
-		fs.alloc.Free(block, np)
+	ext := [1]fileExtent{{pg: pg0, n: np, end: end, data: buf}}
+	if err := fs.commitExtentsLocked(in, ext[:], flag, nil, &t); err != nil {
 		return 0, err
 	}
-	fs.commitTailLocked(in)
-	step(&dLog)
-
-	// ④ Radix update, ⑤ reclamation of the shadowed pages.
-	fs.installRadixLocked(in, pg0, block, np, entryOff)
-	step(&dRadix)
-	fs.reclaimShadowedLocked(in)
-	step(&dReclaim)
-
-	if end > in.size {
-		in.size = end
-	}
-	in.mtime = entry.Mtime
-	atomic.AddInt64(&fs.writes, 1)
-	if fs.onWrite != nil {
-		fs.onWrite(in, entryOff, wsc)
-	}
-	if o != nil {
-		total := time.Since(start)
-		o.Write.ObserveSpan(total, wsc.Trace)
+	e := &ext[0]
+	if o := t.o; o != nil {
+		t.end(o.Write, obs.OpWrite, in.ino, uint64(len(data)))
 		o.WriteBytes.Add(int64(len(data)))
-		o.Tracer.EmitSpan(obs.OpWrite, wsc, sc.Span, in.ino, uint64(len(data)), start, total)
-		if fine {
-			o.WriteAlloc.Observe(dAlloc)
-			o.WriteFill.Observe(dFill)
-			o.WriteLog.Observe(dLog)
-			o.WriteRadix.Observe(dRadix)
-			o.WriteReclaim.Observe(dReclaim)
-			// Step spans are children of the write span; their start times
-			// follow from the step durations (the steps run back to back).
-			at := start
-			emitStep := func(op obs.Op, arg uint64, d time.Duration) {
-				o.Tracer.EmitSpan(op, o.Tracer.StartChild(wsc), wsc.Span, in.ino, arg, at, d)
-				at = at.Add(d)
-			}
-			emitStep(obs.OpWriteAlloc, block, dAlloc)
-			emitStep(obs.OpWriteFill, uint64(np), dFill)
-			emitStep(obs.OpWriteLog, entryOff, dLog)
-			emitStep(obs.OpWriteRadix, pg0, dRadix)
-			emitStep(obs.OpWriteReclaim, 0, dReclaim)
+		if o.Fine {
+			t.emitStep(o.WriteAlloc, obs.OpWriteAlloc, in.ino, e.block, t.steps[stepAlloc])
+			t.emitStep(o.WriteFill, obs.OpWriteFill, in.ino, uint64(np), t.steps[stepFill])
+			t.emitStep(o.WriteLog, obs.OpWriteLog, in.ino, e.entryOff, t.steps[stepLog])
+			t.emitStep(o.WriteRadix, obs.OpWriteRadix, in.ino, pg0, t.steps[stepRadix])
+			t.emitStep(o.WriteReclaim, obs.OpWriteReclaim, in.ino, 0, t.steps[stepReclaim])
 		}
 	}
 	if in.shouldThoroughGC() {
 		fs.thoroughGCLocked(in)
 	}
-	return entryOff, nil
+	return e.entryOff, nil
+}
+
+// fileExtent is one contiguous run of file pages on its way into the log: one
+// block run, one write entry. The caller supplies the pages and their
+// content — data, n pages of contiguous bytes, or imgs, n separate page
+// images — and commitExtentsLocked fills in block and entryOff.
+type fileExtent struct {
+	pg   uint64 // first file page
+	n    int64  // pages
+	end  uint64 // the entry's EndOff: the file size this extent reaches
+	data []byte
+	imgs [][]byte
+
+	block, entryOff uint64
+}
+
+// commitExtentsLocked is the one path by which file data enters an inode
+// log — Fig. 1 ①–⑤ for a batch of extents, with the slow-path write a batch
+// of one, relink a batch of many and truncate's tail remap one page plus a
+// trailer:
+//
+//	reserve a log slot per entry (the only step, with ①, that can fail:
+//	  ENOSPC here or there leaves nothing appended and nothing allocated),
+//	① allocate one contiguous block run per extent, all or nothing,
+//	② fill the runs with non-temporal stores,
+//	③ append one write entry per extent, then trailer if there is one, and
+//	  commit them all with one fence and one atomic tail store,
+//	④ install each extent's radix mappings and ⑤ reclaim what they shadow,
+//
+// then raise size and mtime and hand each entry to the write hook (the
+// dedup daemon sees one enqueue per extent, not one per staged write). flag
+// is the entries' initial dedupe-flag; t times the steps and carries the
+// span the hook attributes its work to.
+func (fs *FS) commitExtentsLocked(in *Inode, exts []fileExtent, flag uint8, trailer layout.Record, t *opTimer) error {
+	slots := len(exts)
+	if trailer != nil {
+		slots++
+	}
+	if err := fs.reserve(in, slots); err != nil {
+		return err
+	}
+	for i := range exts {
+		block, err := fs.alloc.Alloc(int(in.ino), exts[i].n)
+		if err != nil {
+			for _, e := range exts[:i] {
+				fs.alloc.Free(e.block, e.n)
+			}
+			return err
+		}
+		exts[i].block = block
+	}
+	t.step(stepAlloc)
+
+	for i := range exts {
+		e := &exts[i]
+		dst := int64(e.block) * PageSize
+		if e.imgs == nil {
+			fs.Dev.WriteNT(dst, e.data)
+		}
+		for j, img := range e.imgs {
+			fs.Dev.WriteNT(dst+int64(j)*PageSize, img)
+		}
+	}
+	t.step(stepFill)
+
+	mtime := fs.tick()
+	for i := range exts {
+		e := &exts[i]
+		e.entryOff = fs.append(in, encodeWriteEntry(WriteEntry{
+			DedupeFlag: flag,
+			NumPages:   uint32(e.n),
+			PgOff:      e.pg,
+			Block:      e.block,
+			EndOff:     e.end,
+			Ino:        in.ino,
+			Mtime:      mtime,
+			Seq:        fs.nextSeq(),
+		}))
+	}
+	if trailer != nil {
+		// The trailer pins its log page with a live reference that is never
+		// dropped: live counts track only write-entry references, and a page
+		// whose writes are all dead may still hold a truncate entry that
+		// earlier surviving entries depend on — fast-GC'ing it would
+		// resurrect the truncated mappings at replay. Thorough GC releases
+		// the pin when it rewrites the chain as a snapshot.
+		in.addLiveLocked(fs.append(in, trailer), 1)
+	}
+	fs.commit(in)
+	t.step(stepLog)
+
+	for i := range exts {
+		e := &exts[i]
+		fs.installRadixLocked(in, e.pg, e.block, e.n, e.entryOff)
+		t.step(stepRadix)
+		fs.reclaimShadowedLocked(in)
+		t.step(stepReclaim)
+		if e.end > in.size {
+			in.size = e.end
+		}
+	}
+	in.mtime = mtime
+	atomic.AddInt64(&fs.writes, int64(len(exts)))
+	if fs.onWrite != nil {
+		for i := range exts {
+			fs.onWrite(in, exts[i].entryOff, t.sc)
+		}
+	}
+	return nil
 }
 
 // installRadixLocked is step ④: it points file pages [pg0, pg0+np) at
@@ -204,22 +236,6 @@ func (fs *FS) reclaimShadowedLocked(in *Inode) {
 	in.shadow = in.shadow[:0]
 }
 
-// replaceMappingLocked installs a single page mapping, dropping the live
-// reference of the shadowed entry and reclaiming the shadowed block. The
-// caller must already have accounted the new entry's live reference.
-func (fs *FS) replaceMappingLocked(in *Inode, pg, newBlock, entryOff uint64) {
-	prev, replaced := in.tree.Insert(pg, rtree.Value{Block: newBlock, Entry: entryOff})
-	if !replaced {
-		in.pages++
-		return
-	}
-	fs.dropLiveLocked(in, prev.Entry, 1)
-	if prev.Block != newBlock {
-		in.shadow = append(in.shadow, prev.Block)
-		fs.reclaimShadowedLocked(in)
-	}
-}
-
 // readPageInto copies the current contents of file page pg into dst (one
 // page), zero-filling when the page is unmapped. Caller holds the lock.
 func (fs *FS) readPageInto(in *Inode, pg uint64, dst []byte) {
@@ -227,9 +243,7 @@ func (fs *FS) readPageInto(in *Inode, pg uint64, dst []byte) {
 		fs.Dev.Read(int64(v.Block)*PageSize, dst[:PageSize])
 		return
 	}
-	for i := range dst[:PageSize] {
-		dst[i] = 0
-	}
+	clear(dst[:PageSize])
 }
 
 // Read copies up to len(buf) bytes starting at off into buf, returning the
@@ -259,11 +273,7 @@ func (fs *FS) ReadCtx(in *Inode, off uint64, buf []byte, sc obs.SpanContext) (in
 	if off >= size {
 		return 0, nil
 	}
-	o := fs.obs
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-	}
+	t := fs.beginOp(sc)
 	n := uint64(len(buf))
 	if off+n > size {
 		n = size - off
@@ -293,18 +303,13 @@ func (fs *FS) ReadCtx(in *Inode, off uint64, buf []byte, sc obs.SpanContext) (in
 				copy(buf[read:read+chunk], page[po:po+chunk])
 			}
 		} else {
-			for i := read; i < read+chunk; i++ {
-				buf[i] = 0
-			}
+			clear(buf[read : read+chunk])
 		}
 		read += chunk
 	}
-	if o != nil {
-		d := time.Since(start)
-		rsc := o.Tracer.ChildOrRoot(sc, sc.Tenant)
-		o.Read.ObserveSpan(d, rsc.Trace)
+	if o := t.o; o != nil {
+		t.end(o.Read, obs.OpRead, in.ino, n)
 		o.ReadBytes.Add(int64(n))
-		o.Tracer.EmitSpan(obs.OpRead, rsc, sc.Span, in.ino, n, start, d)
 	}
 	return int(n), nil
 }

@@ -202,12 +202,12 @@ func (fs *FS) thoroughGCLocked(in *Inode) (reclaimedPages int) {
 	}
 	newLive[tailPage] = in.live[tailPage]
 	// Pin the compacted chain's truncate entry like any other (see
-	// Truncate): its page must survive fast GC even with every copied
-	// write entry dead.
+	// commitExtentsLocked): its page must survive fast GC even with every
+	// copied write entry dead.
 	newLive[newPages[len(runs)/EntriesPerLogPage]]++
-	// Spare pages linked past the tail page (pre-extended by
-	// ensureLogSpaceLocked) stay chained from it: freeing them would leave
-	// the tail page's persistent next link dangling. They carry over empty.
+	// Spare pages linked past the tail page by reserve stay chained from
+	// it: freeing them would leave the tail page's persistent next link
+	// dangling. They carry over empty.
 	tailIdx := in.logPageIndex(tailPage)
 	spares := in.logPages[tailIdx+1:]
 	for _, sp := range spares {

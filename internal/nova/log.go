@@ -46,59 +46,90 @@ func (fs *FS) setLogPageNext(block, next uint64) {
 // log page.
 func slotIndex(off uint64) int { return int(off%PageSize) / EntrySize }
 
-// appendEntryLocked writes rec at the inode's pending tail, allocating and
-// linking a new log page when the current one is full. The entry bytes are
-// persisted, but the entry is NOT committed: it becomes visible only when
-// commitTailLocked advances the persistent tail pointer. The inode lock
-// must be held.
-func (fs *FS) appendEntryLocked(in *Inode, rec layout.Record) (uint64, error) {
-	return fs.appendEntryWith(in, rec, true)
+// Every log transaction is reserve → append… → commit (Fig. 1 ③, reused by
+// Fig. 6 ④–⑤). reserve is the only step that can fail and the only code
+// that grows a log chain; append stores and flushes one record past the
+// tail, where it stays invisible; commit orders the batch with one fence
+// and publishes it with the atomic 8-byte tail store. The inode lock must
+// be held throughout.
+
+// reserve makes room for n appends: it links spare pages after the tail
+// page until n slots are free. The spares are persisted at once, but the
+// commit point stays the inode tail, so a crash (or a caller that gives up
+// before appending) leaves at worst empty pages past the tail, which
+// recovery's end-of-mount fast-GC sweep reclaims. Reserving a whole
+// transaction up front is what makes it all-or-nothing under ENOSPC.
+func (fs *FS) reserve(in *Inode, n int) error {
+	tail := in.pendingTail()
+	free := EntriesPerLogPage - slotIndex(tail)
+	if free >= n {
+		return nil
+	}
+	idx := in.logPageIndex(pageOfOff(tail))
+	if idx < 0 {
+		panic(fmt.Sprintf("nova: inode %d tail page missing from page list", in.ino))
+	}
+	free += (len(in.logPages) - idx - 1) * EntriesPerLogPage
+	for ; free < n; free += EntriesPerLogPage {
+		np, err := fs.alloc.Alloc(int(in.ino), 1)
+		if err != nil {
+			return err
+		}
+		fs.initLogPage(np, 0)
+		fs.setLogPageNext(in.logPages[len(in.logPages)-1], np)
+		in.logPages = append(in.logPages, np)
+		in.live[np] = 0
+	}
+	return nil
 }
 
-// appendEntryFlushLocked is appendEntryLocked without the trailing fence:
-// the entry's lines are flushed but not ordered. The relink commit uses it
-// to batch many appends under one fence — the caller MUST issue a Fence
-// before committing the tail, or the batch is not crash-ordered.
-func (fs *FS) appendEntryFlushLocked(in *Inode, rec layout.Record) (uint64, error) {
-	return fs.appendEntryWith(in, rec, false)
-}
-
-func (fs *FS) appendEntryWith(in *Inode, rec layout.Record, fence bool) (uint64, error) {
+// append writes rec into a reserved slot at the pending tail and flushes it
+// — unfenced, uncommitted — returning the record's device offset.
+func (fs *FS) append(in *Inode, rec layout.Record) uint64 {
 	if len(rec) != EntrySize {
 		panic("nova: log entry must be exactly 64 bytes")
 	}
 	tail := in.pendingTail()
 	if slotIndex(tail) == EntriesPerLogPage {
-		pg := pageOfOff(tail)
-		if idx := in.logPageIndex(pg); idx >= 0 && idx+1 < len(in.logPages) {
-			// A spare page is already linked past the full one (pre-extended
-			// by ensureLogSpaceLocked); advance into it without touching PM.
-			tail = in.logPages[idx+1] * PageSize
-		} else {
-			// Current page is full: allocate, initialize and link a new page.
-			// The link is persisted before any entry lands in the new page, and
-			// the commit point remains the inode tail, so a crash anywhere in
-			// this sequence leaves the log consistent.
-			np, err := fs.alloc.Alloc(int(in.ino), 1)
-			if err != nil {
-				return 0, err
-			}
-			fs.initLogPage(np, 0)
-			last := in.logPages[len(in.logPages)-1]
-			fs.setLogPageNext(last, np)
-			in.logPages = append(in.logPages, np)
-			in.live[np] = 0
-			tail = np * PageSize
+		// The tail page is full: step into the spare reserve linked after it.
+		idx := in.logPageIndex(pageOfOff(tail))
+		if idx < 0 || idx+1 == len(in.logPages) {
+			panic(fmt.Sprintf("nova: inode %d: log append without a reserved slot", in.ino))
 		}
+		tail = in.logPages[idx+1] * PageSize
 	}
 	fs.Dev.Write(int64(tail), rec)
-	if fence {
-		fs.Dev.Persist(int64(tail), EntrySize)
-	} else {
-		fs.Dev.Flush(int64(tail), EntrySize)
-	}
+	fs.Dev.Flush(int64(tail), EntrySize)
 	in.pending = tail + EntrySize
-	return tail, nil
+	return tail
+}
+
+// commit publishes every record appended since the last commit: one fence
+// orders their flushes, then the tail moves with a single persistent 64-bit
+// store. With nothing appended it is a no-op.
+func (fs *FS) commit(in *Inode) {
+	if in.pending == 0 || in.pending == in.logTail {
+		return
+	}
+	fs.Dev.Fence()
+	fs.Dev.PersistStore64(fs.inodeOff(in.ino)+inLogTail, in.pending)
+	in.logTail = in.pending
+	in.pending = 0
+}
+
+// logDentryLocked logs d in directory dir as a transaction of its own:
+// reserve one slot, append, commit.
+func (fs *FS) logDentryLocked(dir *Inode, d Dentry) error {
+	rec, err := encodeDentry(d)
+	if err == nil {
+		err = fs.reserve(dir, 1)
+	}
+	if err != nil {
+		return err
+	}
+	fs.append(dir, rec)
+	fs.commit(dir)
+	return nil
 }
 
 // logPageIndex returns pg's position in the inode's page list, or -1.
@@ -111,44 +142,6 @@ func (in *Inode) logPageIndex(pg uint64) int {
 	return -1
 }
 
-// freeSlotsLocked counts how many entries can be appended before a page
-// allocation is needed: the slots left in the (pending) tail page plus
-// every slot of the spare pages already linked after it.
-func (in *Inode) freeSlotsLocked() int {
-	tail := in.pendingTail()
-	idx := in.logPageIndex(pageOfOff(tail))
-	if idx < 0 {
-		panic(fmt.Sprintf("nova: inode %d tail page missing from page list", in.ino))
-	}
-	free := EntriesPerLogPage - slotIndex(tail)
-	free += (len(in.logPages) - idx - 1) * EntriesPerLogPage
-	return free
-}
-
-// ensureLogSpaceLocked pre-extends the log chain until at least n entry
-// appends can proceed without allocating. The spare pages are linked and
-// persisted immediately, but the commit point stays the inode tail, so a
-// crash leaves at worst empty pages past the tail — the same shape as a
-// crash between page link and entry commit on the normal append path,
-// which recovery's end-of-mount fast-GC sweep already reclaims. Callers
-// use it to (a) make a multi-entry transaction all-or-nothing with respect
-// to ENOSPC and (b) keep page allocation out of the fence-batched relink
-// append loop. The inode lock must be held.
-func (fs *FS) ensureLogSpaceLocked(in *Inode, n int) error {
-	for free := in.freeSlotsLocked(); free < n; free += EntriesPerLogPage {
-		np, err := fs.alloc.Alloc(int(in.ino), 1)
-		if err != nil {
-			return err
-		}
-		fs.initLogPage(np, 0)
-		last := in.logPages[len(in.logPages)-1]
-		fs.setLogPageNext(last, np)
-		in.logPages = append(in.logPages, np)
-		in.live[np] = 0
-	}
-	return nil
-}
-
 // pendingTail returns where the next entry will be appended: the committed
 // tail, or past any uncommitted entries appended since.
 func (in *Inode) pendingTail() uint64 {
@@ -156,18 +149,6 @@ func (in *Inode) pendingTail() uint64 {
 		return in.pending
 	}
 	return in.logTail
-}
-
-// commitTailLocked atomically publishes all entries appended since the last
-// commit by storing the new tail with a single persistent 64-bit write —
-// step ③ of Fig. 1 and step ⑤ of the deduplication path (Fig. 6).
-func (fs *FS) commitTailLocked(in *Inode) {
-	if in.pending == 0 || in.pending == in.logTail {
-		return
-	}
-	fs.Dev.PersistStore64(fs.inodeOff(in.ino)+inLogTail, in.pending)
-	in.logTail = in.pending
-	in.pending = 0
 }
 
 // walkLog iterates the committed entries of an inode's log in append order,
@@ -242,13 +223,7 @@ func (fs *FS) fastGCLocked(in *Inode, pg uint64) bool {
 	if pageOfOff(in.pendingTail()) == pg {
 		return false
 	}
-	idx := -1
-	for i, b := range in.logPages {
-		if b == pg {
-			idx = i
-			break
-		}
-	}
+	idx := in.logPageIndex(pg)
 	if idx < 0 {
 		panic(fmt.Sprintf("nova: GC of unknown log page %d", pg))
 	}

@@ -663,13 +663,6 @@ func TestGCSurvivesRemount(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // --- Remount / recovery ---
 
 func TestCleanRemountPreservesEverything(t *testing.T) {

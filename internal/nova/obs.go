@@ -1,6 +1,8 @@
 package nova
 
 import (
+	"time"
+
 	"denova/internal/obs"
 )
 
@@ -40,8 +42,8 @@ type Observer struct {
 // NewObserver resolves the nova metric set from reg. tracer may be nil.
 func NewObserver(reg *obs.Registry, tracer *obs.Tracer, fine bool) *Observer {
 	return &Observer{
-		Tracer:       tracer,
-		Fine:         fine,
+		Tracer:        tracer,
+		Fine:          fine,
 		Write:         reg.Histogram("nova.write"),
 		Read:          reg.Histogram("nova.read"),
 		Truncate:      reg.Histogram("nova.truncate"),
@@ -68,5 +70,62 @@ func NewObserver(reg *obs.Registry, tracer *obs.Tracer, fine bool) *Observer {
 // with in-flight operations.
 func (fs *FS) SetObserver(o *Observer) { fs.obs = o }
 
-// Observer returns the installed observer (nil when none).
-func (fs *FS) Observer() *Observer { return fs.obs }
+// The steps of the extent commit (Fig. 1 ①–⑤), as opTimer indices.
+const (
+	stepAlloc = iota
+	stepFill
+	stepLog
+	stepRadix
+	stepReclaim
+	numSteps
+)
+
+// opTimer is the nova layer's one step timer and span emitter. It times an
+// operation as a child span of the caller's (or a fresh root for untraced
+// callers) at the cost of two clock reads, and at the fine trace level also
+// the steps inside it. The zero value — what beginOp returns with no
+// observer installed — records nothing.
+type opTimer struct {
+	o           *Observer
+	sc          obs.SpanContext // the operation's own span
+	parent      uint64          // the caller's span id
+	start, mark time.Time
+	steps       [numSteps]time.Duration
+}
+
+func (fs *FS) beginOp(parent obs.SpanContext) opTimer {
+	o := fs.obs
+	if o == nil {
+		return opTimer{}
+	}
+	now := time.Now()
+	return opTimer{o: o, sc: o.Tracer.ChildOrRoot(parent, parent.Tenant), parent: parent.Span, start: now, mark: now}
+}
+
+// step charges the time since the previous step (or the start) to step s;
+// a step taken once per extent accumulates.
+func (t *opTimer) step(s int) {
+	if t.o != nil && t.o.Fine {
+		now := time.Now()
+		t.steps[s] += now.Sub(t.mark)
+		t.mark = now
+	}
+}
+
+// end records the operation in its histogram and emits its span, and
+// rewinds mark to the start, where emitStep begins laying out the steps.
+// Callers guard it (and any emitStep after it) with t.o != nil.
+func (t *opTimer) end(h *obs.Histogram, op obs.Op, ino, arg uint64) {
+	d := time.Since(t.start)
+	h.ObserveSpan(d, t.sc.Trace)
+	t.o.Tracer.EmitSpan(op, t.sc, t.parent, ino, arg, t.start, d)
+	t.mark = t.start
+}
+
+// emitStep records one step of d as a child span of the operation. Steps
+// run back to back, so each starts where the previous one ended.
+func (t *opTimer) emitStep(h *obs.Histogram, op obs.Op, ino, arg uint64, d time.Duration) {
+	h.Observe(d)
+	t.o.Tracer.EmitSpan(op, t.o.Tracer.StartChild(t.sc), t.sc.Span, ino, arg, t.mark, d)
+	t.mark = t.mark.Add(d)
+}

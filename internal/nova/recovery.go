@@ -289,19 +289,13 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 			err := func() error {
 				r.dir.mu.Lock()
 				defer r.dir.mu.Unlock()
-				rec, err := encodeDentry(Dentry{Remove: true, Ino: r.ino, Name: r.name})
-				if err == nil {
-					_, err = fs.appendEntryLocked(r.dir, rec)
-				}
-				if err == nil {
-					fs.commitTailLocked(r.dir)
-					res.RepairsPersisted++
-				}
-				return err
+				// The name left the DRAM map in the namespace pass.
+				return fs.removeDentryLocked(r.dir, r.name, r.ino)
 			}()
 			if err != nil {
 				return fmt.Errorf("nova: persisting dangling-dentry repair %q in dir %d: %w", r.name, r.dir.ino, err)
 			}
+			res.RepairsPersisted++
 		}
 		return nil
 	})
@@ -552,7 +546,7 @@ func (fs *FS) replayFile(in *Inode, res *ScanResult) (uint64, uint64, error) {
 				decodeErr = fmt.Errorf("nova: inode %d: entry %#x: %w", in.ino, off, err)
 				return false
 			}
-			in.addLiveLocked(off, 1) // truncate entries pin their page (see Truncate)
+			in.addLiveLocked(off, 1) // truncate entries pin their page (see commitExtentsLocked)
 			fs.replayTruncateLocked(in, size)
 			if seq > maxSeq {
 				maxSeq = seq

@@ -2,7 +2,9 @@ package nova
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"denova/internal/pmem"
@@ -59,55 +61,96 @@ func TestStageWriteReadOverlay(t *testing.T) {
 	}
 }
 
-// TestRelinkBatchesFences is the mechanism claim: N staged appends relink
-// with far fewer fences than N slow-path writes (one fence orders the whole
-// batch; the slow path fences per write).
-func TestRelinkBatchesFences(t *testing.T) {
+// TestCommitBudget pins what each transaction on the one commit path costs
+// the device — fences, flushed lines, non-temporal lines — for a FlagNone
+// file with room in its tail log page. A transaction is reserve, append…,
+// commit: one flushed line per record, then one fence and the fenced tail
+// store, however many records it carries. The two eight-page rows are the
+// mechanism claim of the split write path: staged pages relink with at
+// least 4x fewer fences than the same pages written one by one.
+func TestCommitBudget(t *testing.T) {
 	t.Parallel()
-	const batch = 8
 	dev, fs := mkfsT(t)
-	slow, err := fs.Create("slow")
-	if err != nil {
-		t.Fatal(err)
+	var in *Inode
+	const relinkRow, slowRow = "8 staged pages relinked as one extent", "8 one-page writes"
+	rows := []struct {
+		name                string
+		prep                func() error // uncounted set-up
+		op                  func() error
+		fences, flushed, nt int64
+	}{
+		{name: "create", fences: 5, flushed: 6,
+			op: func() (err error) { in, err = fs.Create("f"); return }},
+		{name: "1-page write", fences: 2, flushed: 2, nt: 64,
+			op: func() error { _, err := fs.Write(in, 0, patternData(PageSize, 1), FlagNone); return err }},
+		{name: "4-page write", fences: 2, flushed: 2, nt: 256,
+			op: func() error { _, err := fs.Write(in, PageSize, patternData(4*PageSize, 2), FlagNone); return err }},
+		{name: "1-page overwrite", fences: 2, flushed: 2, nt: 64,
+			op: func() error { _, err := fs.Write(in, 0, patternData(PageSize, 3), FlagNone); return err }},
+		{name: "page-aligned truncate", fences: 2, flushed: 2,
+			op: func() error { return fs.Truncate(in, 3*PageSize, FlagNone) }},
+		// Two records — the remapped tail page and the truncate entry — under
+		// one fence; fencing each, as the three-way append once did, is 3/3/64.
+		{name: "mid-page truncate with tail remap", fences: 2, flushed: 3, nt: 64,
+			op: func() error { return fs.Truncate(in, 2*PageSize+100, FlagNone) }},
+		{name: relinkRow, fences: 2, flushed: 2, nt: 512,
+			prep: func() error { return stagePagesT(fs, in, 8, 9, 10, 11, 12, 13, 14, 15) },
+			op:   func() error { _, err := fs.Relink(in); return err }},
+		{name: "3 disjoint staged pages", fences: 2, flushed: 4, nt: 192,
+			prep: func() error { return stagePagesT(fs, in, 20, 22, 24) },
+			op:   func() error { _, err := fs.Relink(in); return err }},
+		{name: slowRow, fences: 16, flushed: 16, nt: 512,
+			op: func() error {
+				for pg := uint64(8); pg < 16; pg++ { // the relinked pages again, 22 pages up
+					if _, err := fs.Write(in, (pg+22)*PageSize, patternData(PageSize, byte(pg)), FlagNone); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+		{name: "delete", fences: 3, flushed: 3,
+			prep: func() error {
+				if !bytes.Equal(readFileT(t, fs, in, 8*PageSize, 8*PageSize), readFileT(t, fs, in, 30*PageSize, 8*PageSize)) {
+					t.Error("relinked content diverges from the slow path's")
+				}
+				return fs.Fsck(nil)
+			},
+			op: func() error { return fs.Delete("f") }},
 	}
-	f0 := dev.Stats().Fences
-	for i := 0; i < batch; i++ {
-		if _, err := fs.Write(slow, uint64(i)*PageSize, patternData(PageSize, byte(i)), FlagNone); err != nil {
-			t.Fatal(err)
+	fences := map[string]int64{}
+	for _, row := range rows {
+		if row.prep != nil {
+			if err := row.prep(); err != nil {
+				t.Fatalf("before %s: %v", row.name, err)
+			}
 		}
-	}
-	slowFences := dev.Stats().Fences - f0
-
-	fast, err := fs.Create("fast")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1 := dev.Stats().Fences
-	for i := 0; i < batch; i++ {
-		if _, err := fs.StageWrite(fast, uint64(i)*PageSize, patternData(PageSize, byte(i)), FlagNone); err != nil {
-			t.Fatal(err)
+		before := dev.Stats()
+		if err := row.op(); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
 		}
+		c := dev.Stats().Sub(before)
+		if c.Fences != row.fences || c.FlushedLines != row.flushed || c.NTLines != row.nt {
+			t.Errorf("%s: %d fences / %d flushed lines / %d NT lines, want %d / %d / %d",
+				row.name, c.Fences, c.FlushedLines, c.NTLines, row.fences, row.flushed, row.nt)
+		}
+		fences[row.name] = c.Fences
 	}
-	runs, err := fs.Relink(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastFences := dev.Stats().Fences - f1
-
-	if runs != 1 {
-		t.Errorf("8 contiguous staged pages relinked as %d runs, want 1", runs)
-	}
-	if fastFences*4 > slowFences {
-		t.Errorf("fences: staged batch %d vs slow path %d — less than 4x better", fastFences, slowFences)
-	}
-	// Same bytes either way.
-	want := readFileT(t, fs, slow, 0, batch*PageSize)
-	if got := readFileT(t, fs, fast, 0, batch*PageSize); !bytes.Equal(got, want) {
-		t.Fatal("fast-path content diverges from slow path")
+	if fences[relinkRow]*4 > fences[slowRow] {
+		t.Errorf("fences: staged batch %d vs slow path %d — less than 4x better", fences[relinkRow], fences[slowRow])
 	}
 	if err := fs.Fsck(nil); err != nil {
 		t.Fatalf("fsck: %v", err)
 	}
+}
+
+// stagePagesT stages one full page of pattern data at each of pgs.
+func stagePagesT(fs *FS, in *Inode, pgs ...uint64) error {
+	for _, pg := range pgs {
+		if _, err := fs.StageWrite(in, pg*PageSize, patternData(PageSize, byte(pg)), FlagNone); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestRelinkSparseExtents: discontiguous staged pages become one entry per
@@ -233,7 +276,7 @@ func TestEnsureLogSpaceSpares(t *testing.T) {
 	// Reserve far more slots than the tail page holds: spare pages get
 	// linked past the tail.
 	in.mu.Lock()
-	err := fs.ensureLogSpaceLocked(in, 2*EntriesPerLogPage+5)
+	err := fs.reserve(in, 2*EntriesPerLogPage+5)
 	before := len(in.logPages)
 	in.mu.Unlock()
 	if err != nil {
@@ -330,107 +373,122 @@ func TestTruncateQuiescesStaging(t *testing.T) {
 	}
 }
 
-// TestRelinkENOSPCKeepsStaging: a failed relink must leave the staged data
-// intact and readable, and leak nothing.
-func TestRelinkENOSPCKeepsStaging(t *testing.T) {
+// TestCommitENOSPC drives every caller of the one commit path out of space,
+// at the log-page reservation and at the data allocation, and requires the
+// failure to be atomic: nothing appended (no pending tail for the next
+// commit to publish), nothing leaked beyond a spare log page the
+// reservation may have linked, the staging buffer and the file's content
+// untouched, Fsck clean — and the same operation succeeding once a delete
+// has freed space.
+func TestCommitENOSPC(t *testing.T) {
 	t.Parallel()
-	_, fs := mkfsT(t)
-	in, err := fs.Create("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged := patternData(2*PageSize, 5)
-	if _, err := fs.StageWrite(in, 0, staged, FlagNone); err != nil {
-		t.Fatal(err)
-	}
-	// Drain the allocator completely.
-	var hoard []uint64
-	for {
-		b, err := fs.alloc.Alloc(0, 1)
-		if err != nil {
-			break
-		}
-		hoard = append(hoard, b)
-	}
-	free0 := fs.alloc.FreeBlocks()
-	if _, err := fs.Relink(in); err == nil {
-		t.Fatal("relink succeeded with zero free blocks")
-	}
-	if got := fs.alloc.FreeBlocks(); got != free0 {
-		t.Errorf("failed relink moved free count %d -> %d", free0, got)
-	}
-	if in.StagedPages() != 2 {
-		t.Errorf("failed relink dropped staging: %d pages", in.StagedPages())
-	}
-	if got := readFileT(t, fs, in, 0, len(staged)); !bytes.Equal(got, staged) {
-		t.Fatal("staged data unreadable after failed relink")
-	}
-	// Free space; the retry must drain the same bytes.
-	for _, b := range hoard {
-		fs.alloc.Free(b, 1)
-	}
-	if runs, err := fs.Relink(in); err != nil || runs != 1 {
-		t.Fatalf("retry relink = %d, %v", runs, err)
-	}
-	if got := readFileT(t, fs, in, 0, len(staged)); !bytes.Equal(got, staged) {
-		t.Fatal("content mismatch after retried relink")
-	}
-	if err := fs.Fsck(nil); err != nil {
-		t.Fatalf("fsck: %v", err)
-	}
-}
+	base := patternData(2*PageSize, 3)
+	page := patternData(PageSize, 7)
+	write := func(fs *FS, in *Inode) error { _, err := fs.Write(in, PageSize, page, FlagNone); return err }
+	relink := func(fs *FS, in *Inode) error { _, err := fs.Relink(in); return err }
+	truncate := func(fs *FS, in *Inode) error { return fs.Truncate(in, PageSize+7, FlagNone) }
+	overwritten := append(append([]byte{}, base[:PageSize]...), page...)
+	for _, tc := range []struct {
+		name     string
+		fullTail bool     // the tail log page has no slot left: the commit must reserve a page
+		staged   []uint64 // file pages staged before space runs out
+		leave    int      // contiguous blocks left free
+		spare    int64    // of which the failed commit keeps this many, linked as spare log pages
+		op       func(fs *FS, in *Inode) error
+		want     []byte // content once the retry succeeds; nil: as before the failure
+	}{
+		{name: "write at log reservation", fullTail: true, op: write, want: overwritten},
+		{name: "write at data allocation", fullTail: true, leave: 1, spare: 1, op: write, want: overwritten},
+		{name: "relink at log reservation", fullTail: true, staged: []uint64{2, 3}, op: relink},
+		{name: "relink at first extent", staged: []uint64{2, 3}, op: relink},
+		{name: "relink at second extent", staged: []uint64{2, 3, 6, 7}, leave: 2, op: relink},
+		// A mid-page cut into a mapped page needs a block for the CoW tail remap.
+		{name: "truncate at log reservation", fullTail: true, op: truncate, want: base[:PageSize+7]},
+		{name: "truncate at tail-remap allocation", op: truncate, want: base[:PageSize+7]},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			_, fs := mkfsT(t)
+			writeFileT(t, fs, "ballast", patternData(8*PageSize, 1))
+			in := writeFileT(t, fs, "f", base)
+			for tc.fullTail && slotIndex(in.logTail) < EntriesPerLogPage {
+				if _, err := fs.Write(in, 0, base[:PageSize], FlagNone); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := stagePagesT(fs, in, tc.staged...); err != nil {
+				t.Fatal(err)
+			}
+			// Drain the allocator, then hand back tc.leave adjacent blocks. The
+			// hoard is "held" for fsck purposes (the test is the holder); any
+			// OTHER unaccounted block is a real leak.
+			var hoard []uint64
+			for {
+				b, err := fs.alloc.Alloc(0, 1)
+				if err != nil {
+					break
+				}
+				hoard = append(hoard, b)
+			}
+			sort.Slice(hoard, func(i, j int) bool { return hoard[i] < hoard[j] })
+			held := make(map[uint64]bool)
+			for i, b := range hoard {
+				if i < tc.leave {
+					if b != hoard[0]+uint64(i) {
+						t.Fatalf("hoard %v does not start with %d adjacent blocks", hoard[:tc.leave], tc.leave)
+					}
+					fs.alloc.Free(b, 1)
+					continue
+				}
+				held[b] = true
+			}
+			free0 := fs.alloc.FreeBlocks()
+			size0 := in.Size()
+			before := readFileT(t, fs, in, 0, int(size0)+PageSize)
 
-// TestTruncateENOSPCNoBlockLeak is the error-path audit regression: a
-// truncate that needs a tail-remap block but cannot get one must fail
-// cleanly — no leaked block, no dangling pending append, file untouched.
-func TestTruncateENOSPCNoBlockLeak(t *testing.T) {
-	t.Parallel()
-	_, fs := mkfsT(t)
-	in := writeFileT(t, fs, "f", patternData(2*PageSize, 3))
+			if err := tc.op(fs, in); !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("with %d free blocks: err = %v, want ErrNoSpace", free0, err)
+			}
+			in.mu.RLock()
+			pending := in.pending
+			in.mu.RUnlock()
+			if pending != 0 {
+				t.Errorf("failed commit left a pending append at %#x", pending)
+			}
+			if got := fs.alloc.FreeBlocks(); got != free0-tc.spare {
+				t.Errorf("failed commit moved the free count %d -> %d, want %d spare log page(s) kept", free0, got, tc.spare)
+			}
+			if got := in.StagedPages(); got != len(tc.staged) {
+				t.Errorf("failed commit left %d staged pages, want %d", got, len(tc.staged))
+			}
+			if got := readFileT(t, fs, in, 0, int(size0)+PageSize); !bytes.Equal(got, before) {
+				t.Error("failed commit changed the file's size or content")
+			}
+			if err := fs.Fsck(func(b uint64) bool { return held[b] }); err != nil {
+				t.Fatalf("fsck after the failure: %v", err)
+			}
 
-	hoard := make(map[uint64]bool)
-	for {
-		b, err := fs.alloc.Alloc(0, 1)
-		if err != nil {
-			break
-		}
-		hoard[b] = true
-	}
-	free0 := fs.alloc.FreeBlocks()
-	// Mid-page cut into a mapped page forces the CoW tail remap.
-	if err := fs.Truncate(in, PageSize+7, FlagNone); err == nil {
-		t.Fatal("truncate succeeded with zero free blocks")
-	}
-	if got := fs.alloc.FreeBlocks(); got != free0 {
-		t.Errorf("failed truncate moved free count %d -> %d", free0, got)
-	}
-	in.mu.RLock()
-	pending := in.pending
-	in.mu.RUnlock()
-	if pending != 0 {
-		t.Errorf("failed truncate left pending append at %#x", pending)
-	}
-	if got := in.Size(); got != 2*PageSize {
-		t.Errorf("failed truncate changed size to %d", got)
-	}
-	// Hoarded blocks are "held" for fsck purposes (the test is the holder);
-	// any OTHER unaccounted block is a real leak from the failed truncate.
-	if err := fs.Fsck(func(b uint64) bool { return hoard[b] }); err != nil {
-		t.Fatalf("fsck after failed truncate: %v", err)
-	}
-
-	for b := range hoard {
-		fs.alloc.Free(b, 1)
-	}
-	if err := fs.Truncate(in, PageSize+7, FlagNone); err != nil {
-		t.Fatalf("retry truncate: %v", err)
-	}
-	want := patternData(2*PageSize, 3)[:PageSize+7]
-	if got := readFileT(t, fs, in, 0, 2*PageSize); !bytes.Equal(got, want) {
-		t.Fatal("content mismatch after retried truncate")
-	}
-	if err := fs.Fsck(nil); err != nil {
-		t.Fatalf("fsck: %v", err)
+			if err := fs.Delete("ballast"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.op(fs, in); err != nil {
+				t.Fatalf("retry with space freed: %v", err)
+			}
+			want := tc.want
+			if want == nil {
+				want = before
+			}
+			if got := readFileT(t, fs, in, 0, int(size0)+PageSize); !bytes.Equal(got, want) {
+				t.Error("content mismatch after the retry")
+			}
+			if got := in.StagedPages(); got != 0 {
+				t.Errorf("%d pages still staged after the retry", got)
+			}
+			if err := fs.Fsck(func(b uint64) bool { return held[b] }); err != nil {
+				t.Fatalf("fsck after the retry: %v", err)
+			}
+		})
 	}
 }
 

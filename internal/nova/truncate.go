@@ -2,7 +2,6 @@ package nova
 
 import (
 	"fmt"
-	"time"
 
 	"denova/internal/layout"
 	"denova/internal/obs"
@@ -82,94 +81,48 @@ func (fs *FS) TruncateCtx(in *Inode, size uint64, flag uint8, sc obs.SpanContext
 	if size == in.size {
 		return nil
 	}
-	var tsc obs.SpanContext
-	if o := fs.obs; o != nil {
-		tsc = o.Tracer.ChildOrRoot(sc, sc.Tenant)
-		start := time.Now()
-		defer func() {
-			d := time.Since(start)
-			o.Truncate.ObserveSpan(d, tsc.Trace)
-			o.Tracer.EmitSpan(obs.OpTruncate, tsc, sc.Span, in.ino, size, start, d)
-		}()
+	t := fs.beginOp(sc)
+	// A cut into a mapped page remaps it: one one-page extent holding the
+	// zero-tailed copy, committed with the truncate entry as its trailer
+	// (assigned into ext, not appended: append would move buf to the heap).
+	var ext [1]fileExtent
+	remap := 0
+	if pg := size / PageSize; size < in.size && size%PageSize != 0 {
+		if _, _, mapped := in.Mapping(pg); mapped {
+			buf := make([]byte, PageSize)
+			fs.readPageInto(in, pg, buf)
+			clear(buf[size%PageSize:])
+			ext[0], remap = fileExtent{pg: pg, n: 1, end: size, data: buf}, 1
+		}
 	}
-	needRemap := false
-	var remapPg uint64
-	if size < in.size && size%PageSize != 0 {
-		remapPg = size / PageSize
-		_, _, needRemap = in.Mapping(remapPg)
-	}
-	// Reserve every log slot of the transaction before allocating or
-	// appending anything: the tail-remap and truncate entries commit
-	// together, and running out of log space between the two appends must
-	// be impossible — it would leak the remap block and leave a dangling
-	// uncommitted append for the next commit to publish as a half-truncate.
-	slots := 1
-	if needRemap {
-		slots = 2
-	}
-	if err := fs.ensureLogSpaceLocked(in, slots); err != nil {
+	if err := fs.commitExtentsLocked(in, ext[:remap], flag, encodeTruncateEntry(in.ino, size, fs.nextSeq()), &t); err != nil {
 		return err
-	}
-	var tailRemap *WriteEntry
-	if needRemap {
-		buf := make([]byte, PageSize)
-		fs.readPageInto(in, remapPg, buf)
-		for i := size % PageSize; i < PageSize; i++ {
-			buf[i] = 0
-		}
-		block, err := fs.alloc.Alloc(int(in.ino), 1)
-		if err != nil {
-			return err
-		}
-		fs.Dev.WriteNT(int64(block)*PageSize, buf)
-		tailRemap = &WriteEntry{
-			DedupeFlag: flag,
-			NumPages:   1,
-			PgOff:      remapPg,
-			Block:      block,
-			EndOff:     size,
-			Ino:        in.ino,
-			Mtime:      fs.tick(),
-			Seq:        fs.nextSeq(),
-		}
-	}
-	var tailEntryOff uint64
-	if tailRemap != nil {
-		off, err := fs.appendEntryLocked(in, encodeWriteEntry(*tailRemap))
-		if err != nil {
-			fs.alloc.Free(tailRemap.Block, 1)
-			return err
-		}
-		tailEntryOff = off
-	}
-	truncOff, err := fs.appendEntryLocked(in, encodeTruncateEntry(in.ino, size, fs.nextSeq()))
-	if err != nil {
-		// Unreachable after the slot reservation, but keep the transaction
-		// leak-free regardless: nothing appended so far is committed, so
-		// dropping the pending cursor and the remap block aborts cleanly.
-		if tailRemap != nil {
-			in.pending = 0
-			fs.alloc.Free(tailRemap.Block, 1)
-		}
-		return err
-	}
-	fs.commitTailLocked(in)
-	// The truncate entry pins its log page (a live reference that is never
-	// dropped): live counts track only write-entry references, and a page
-	// whose writes are all dead may still hold a truncate entry that earlier
-	// surviving entries depend on — fast-GC'ing it would resurrect the
-	// truncated mappings at replay. Thorough GC releases the pin when it
-	// rewrites the chain as a snapshot.
-	in.addLiveLocked(truncOff, 1)
-	if tailRemap != nil {
-		fs.RemapLocked(in, tailRemap.PgOff, tailRemap.Block, tailEntryOff)
-		if fs.onWrite != nil && flag == FlagNeeded {
-			fs.onWrite(in, tailEntryOff, tsc)
-		}
 	}
 	fs.applyTruncateLocked(in, size)
-	in.mtime = fs.tick()
+	if o := t.o; o != nil {
+		t.end(o.Truncate, obs.OpTruncate, in.ino, size)
+	}
 	return nil
+}
+
+// dropMappingsLocked removes every radix mapping of a page at or beyond
+// size and hands each to drop, then sets the size.
+func (in *Inode) dropMappingsLocked(size uint64, drop func(v rtree.Value)) {
+	if size < in.size {
+		firstGone := (size + PageSize - 1) / PageSize
+		var gone []uint64
+		in.tree.Walk(func(pg uint64, _ rtree.Value) bool {
+			if pg >= firstGone {
+				gone = append(gone, pg)
+			}
+			return true
+		})
+		for _, pg := range gone {
+			v, _ := in.tree.Delete(pg)
+			drop(v)
+		}
+	}
+	in.size = size
 }
 
 // replayTruncateLocked applies a truncate during the recovery scan: the
@@ -178,43 +131,19 @@ func (fs *FS) TruncateCtx(in *Inode, size uint64, flag uint8, sc obs.SpanContext
 // or, with deduplication, the FACT scrub arbitrates), but no blocks are
 // freed directly.
 func (fs *FS) replayTruncateLocked(in *Inode, size uint64) {
-	if size < in.size {
-		firstGone := (size + PageSize - 1) / PageSize
-		var drop []uint64
-		in.tree.Walk(func(pg uint64, _ rtree.Value) bool {
-			if pg >= firstGone {
-				drop = append(drop, pg)
-			}
-			return true
-		})
-		for _, pg := range drop {
-			v, _ := in.tree.Delete(pg)
-			in.live[pageOfOff(v.Entry)]--
-		}
-	}
-	in.size = size
+	in.dropMappingsLocked(size, func(v rtree.Value) { in.live[pageOfOff(v.Entry)]-- })
 }
 
 // applyTruncateLocked updates the DRAM state for a committed truncate:
 // mappings wholly beyond the new size are dropped and their blocks
 // released; a partial final page is kept (reads mask the tail by size).
 func (fs *FS) applyTruncateLocked(in *Inode, size uint64) {
-	if size < in.size {
-		firstGone := (size + PageSize - 1) / PageSize
-		var drop []uint64
-		in.tree.Walk(func(pg uint64, v rtree.Value) bool {
-			if pg >= firstGone {
-				drop = append(drop, pg)
-			}
-			return true
-		})
-		for _, pg := range drop {
-			v, _ := in.tree.Delete(pg)
-			fs.dropLiveLocked(in, v.Entry, 1)
-			in.shadow = append(in.shadow, v.Block)
-			in.pages--
-		}
+	in.dropMappingsLocked(size, func(v rtree.Value) {
+		fs.dropLiveLocked(in, v.Entry, 1)
+		in.shadow = append(in.shadow, v.Block)
+		in.pages--
+	})
+	if len(in.shadow) > 0 {
 		fs.reclaimShadowedLocked(in)
 	}
-	in.size = size
 }

@@ -56,9 +56,7 @@ type StatsSnapshot struct {
 	Geometry GeometryInfo
 }
 
-// StatsSnapshot gathers the control-plane snapshot. It replaces the
-// one-off QueueLen/QueuePeak/QueueShardLens/WorkerStats/Geometry
-// accessors, which survive as deprecated wrappers.
+// StatsSnapshot gathers the control-plane snapshot.
 func (f *FS) StatsSnapshot() StatsSnapshot {
 	var st StatsSnapshot
 	g := f.fs.Geo
