@@ -6,9 +6,9 @@
 //	denova-bench [flags] <artifact>
 //
 // Artifacts: table1, fig2, table4, fig8, fig9, fig10, fig11, fig12, model,
-// ablations, space, overhead, wear, json, all. With -csvdir the figures also
-// emit their data series as CSV files for plotting; "json" writes
-// machine-readable BENCH_*.json reports (see -jsondir).
+// ablations, space, overhead, wear; "all" runs every one in that order.
+// With -csvdir the figures also emit their data series as CSV files for
+// plotting.
 //
 // The -scale flag shrinks or grows the workload sizes (1.0 means the
 // default sizes below; the paper's full 1,000,000-file runs correspond to
@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"denova"
@@ -28,16 +29,32 @@ import (
 )
 
 var (
-	scale      = flag.Float64("scale", 1.0, "workload size multiplier")
-	threads    = flag.Int("threads", 1, "writer threads for fig8/space")
-	profile    = flag.String("profile", "optane-dcpm", "device profile: optane-dcpm, dram, pcm, stt-ram, zero")
-	thinkTime  = flag.Bool("think", true, "interleave think time equal to I/O time (paper §V-B1)")
-	reps       = flag.Int("reps", 3, "interleaved measurement rounds per figure cell (median reported)")
-	jsondir    = flag.String("jsondir", ".", "output directory for the json artifact's BENCH_*.json files")
-	slofile    = flag.String("slofile", "slo.json", "SLO objectives file for the slo artifact")
-	slowThresh = flag.Duration("slow-threshold", harness.DefaultSlowCapThreshold,
-		"slow-span capture threshold for the slowcap artifact")
+	scale     = flag.Float64("scale", 1.0, "workload size multiplier")
+	threads   = flag.Int("threads", 1, "writer threads for fig8/space")
+	profile   = flag.String("profile", "optane-dcpm", "device profile: optane-dcpm, dram, pcm, stt-ram, zero")
+	thinkTime = flag.Bool("think", true, "interleave think time equal to I/O time (paper §V-B1)")
+	reps      = flag.Int("reps", 3, "interleaved measurement rounds per figure cell (median reported)")
 )
+
+// artifacts lists every table and figure in the order "all" runs them.
+var artifacts = []struct {
+	name string
+	run  func() error
+}{
+	{"table1", table1},
+	{"fig2", fig2},
+	{"table4", table4},
+	{"fig8", fig8},
+	{"fig9", fig9},
+	{"fig10", fig10},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"model", model},
+	{"ablations", ablations},
+	{"space", space},
+	{"overhead", overhead},
+	{"wear", wear},
+}
 
 // cell is one figure data point; sweeps measure all cells per round so that
 // process-lifetime drift (GC heap growth, CPU boost) spreads evenly instead
@@ -67,7 +84,7 @@ func sweep(cells []cell) ([]harness.WriteResult, error) {
 	}
 	out := make([]harness.WriteResult, len(cells))
 	for i := range cells {
-		out[i] = harness.MedianBy(samples[i])
+		out[i] = harness.MedianBy(samples[i], harness.WriteResult.MBps)
 	}
 	return out, nil
 }
@@ -100,150 +117,36 @@ func n(base int) int {
 
 func main() {
 	flag.Parse()
+	names := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		names[i] = a.name
+	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: denova-bench [flags] <table1|fig2|table4|fig8|fig9|fig10|fig11|fig12|model|ablations|space|overhead|wear|json|append|slo|slowcap|all>")
+		fmt.Fprintf(os.Stderr, "usage: denova-bench [flags] <%s|all>\n", strings.Join(names, "|"))
 		os.Exit(2)
 	}
-	arts := map[string]func() error{
-		"table1":    table1,
-		"fig2":      fig2,
-		"table4":    table4,
-		"fig8":      fig8,
-		"fig9":      fig9,
-		"fig10":     fig10,
-		"fig11":     fig11,
-		"fig12":     fig12,
-		"model":     model,
-		"ablations": ablations,
-		"space":     space,
-		"overhead":  overhead,
-		"wear":      wear,
-		"json":      benchJSON,
-		"append":    appendBench,
-		"slo":       sloGate,
-		"slowcap":   slowCap,
-	}
-	run := func(name string) {
-		fn, ok := arts[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown artifact %q\n", name)
-			os.Exit(2)
+	ran := false
+	for _, a := range artifacts {
+		if flag.Arg(0) != "all" && flag.Arg(0) != a.name {
+			continue
 		}
+		ran = true
 		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		if err := a.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", a.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s done in %v]\n\n", a.name, time.Since(start).Round(time.Millisecond))
 	}
-	if flag.Arg(0) == "all" {
-		for _, name := range []string{"table1", "fig2", "table4", "fig8", "fig9", "fig10", "fig11", "fig12", "model", "ablations", "space", "overhead", "wear"} {
-			run(name)
-		}
-		return
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown artifact %q\n", flag.Arg(0))
+		os.Exit(2)
 	}
-	run(flag.Arg(0))
 }
 
 func table1() error {
 	fmt.Print(harness.FormatTable1(harness.MeasureDeviceProfiles(2000)))
 	return nil
-}
-
-// benchJSON emits the machine-readable BENCH_<model>_<workload>.json
-// reports (ops/s, latency percentiles, pmem counters, dedup savings) that
-// CI archives as artifacts.
-func benchJSON() error {
-	if err := os.MkdirAll(*jsondir, 0o755); err != nil {
-		return err
-	}
-	paths, err := harness.WriteStandardBenchJSON(*jsondir)
-	for _, p := range paths {
-		fmt.Println("wrote", p)
-	}
-	if err != nil {
-		return err
-	}
-	_, paths, err = harness.WriteProfileBenchJSON(*jsondir)
-	for _, p := range paths {
-		fmt.Println("wrote", p)
-	}
-	return err
-}
-
-// appendBench runs the split-write-path append microbenchmark (baseline
-// slow path vs staged+batched relink) and writes both BENCH_*_append.json
-// reports into -jsondir. The printed headline is fences per appended page
-// and the reduction factor the staging path buys.
-func appendBench() error {
-	if err := os.MkdirAll(*jsondir, 0o755); err != nil {
-		return err
-	}
-	reports, paths, err := harness.WriteAppendBenchJSON(*jsondir)
-	for _, p := range paths {
-		fmt.Println("wrote", p)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-24s %14s %12s %10s\n", "model", "fences/page", "ops/s", "MB/s")
-	for _, rep := range reports {
-		fmt.Printf("%-24s %14.3f %12.0f %10.1f\n", rep.Model, rep.FencesPerPage, rep.OpsPerSec, rep.MBps)
-	}
-	fmt.Printf("fence reduction: %.2fx (batch size %d, floor %dx)\n",
-		harness.AppendFenceReduction(reports), harness.AppendBatch, harness.MinAppendFenceReduction)
-	return nil
-}
-
-// sloGate replays the standard profile suite, writes its BENCH_*.json
-// reports into -jsondir, and checks them against -slofile. Any violation
-// makes the process exit non-zero, which is what CI keys on.
-func sloGate() error {
-	if err := os.MkdirAll(*jsondir, 0o755); err != nil {
-		return err
-	}
-	reports, violations, err := harness.RunSLOGate(*jsondir, *slofile)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-14s %12s %10s\n", "profile", "ops/s", "ops")
-	for _, rep := range reports {
-		fmt.Printf("%-14s %12.0f %10d\n", rep.Profile, rep.OpsPerSec, rep.TotalOps)
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "SLO VIOLATION:", v)
-		}
-		return fmt.Errorf("%d SLO violation(s) against %s", len(violations), *slofile)
-	}
-	fmt.Printf("SLO gate passed: %d profiles within objectives (%s, margin %.0f%%)\n",
-		len(reports), *slofile, mustLoadMargin(*slofile)*100)
-	return nil
-}
-
-// slowCap replays the multitenant profile over the serving layer with full
-// tracing and slow-span capture on, writing the captured span trees as a
-// SLOW_*.json Chrome trace-event artifact into -jsondir (viewable in
-// chrome://tracing or ui.perfetto.dev). CI archives it next to the SLO
-// run's BENCH_*.json reports.
-func slowCap() error {
-	if err := os.MkdirAll(*jsondir, 0o755); err != nil {
-		return err
-	}
-	n, path, err := harness.WriteSlowCapJSON(*jsondir, *slowThresh)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d slow traces over %v)\n", path, n, *slowThresh)
-	return nil
-}
-
-func mustLoadMargin(path string) float64 {
-	slo, err := harness.LoadSLO(path)
-	if err != nil {
-		return 0
-	}
-	return slo.Margin
 }
 
 func fig2() error {
@@ -348,23 +251,16 @@ func fig11() error {
 			}
 		}
 	}
-	type row = struct {
-		Model     string
-		Workload  string
-		Write     float64
-		Overwrite float64
-		Baseline  float64
-	}
-	var rows []row
+	var rows []harness.NormalizedRow
 	for _, spec := range specs {
-		base := harness.MedianBy(writes[cellKey{denova.ModeNone, spec.Name}]).MBps()
+		base := harness.MedianBy(writes[cellKey{denova.ModeNone, spec.Name}], harness.WriteResult.MBps).MBps()
 		for _, m := range modes {
 			k := cellKey{m, spec.Name}
-			rows = append(rows, row{
+			rows = append(rows, harness.NormalizedRow{
 				Model:     harness.FSConfig{Mode: m}.Label(),
 				Workload:  spec.Name,
-				Write:     harness.MedianBy(writes[k]).MBps(),
-				Overwrite: harness.MedianBy(overs[k]).MBps(),
+				Write:     harness.MedianBy(writes[k], harness.WriteResult.MBps).MBps(),
+				Overwrite: harness.MedianBy(overs[k], harness.WriteResult.MBps).MBps(),
 				Baseline:  base,
 			})
 		}
@@ -395,18 +291,7 @@ func fig12() error {
 	var rows []harness.ReadResult
 	for _, m := range []denova.Mode{denova.ModeNone, denova.ModeImmediate} {
 		for _, mixed := range []bool{false, true} {
-			s := samples[cellKey{m, mixed}]
-			// median by MBps
-			best := s[0]
-			if len(s) >= 3 {
-				for i := 1; i < len(s); i++ {
-					for j := i; j > 0 && s[j].MBps() < s[j-1].MBps(); j-- {
-						s[j], s[j-1] = s[j-1], s[j]
-					}
-				}
-				best = s[len(s)/2]
-			}
-			rows = append(rows, best)
+			rows = append(rows, harness.MedianBy(samples[cellKey{m, mixed}], harness.ReadResult.MBps))
 		}
 	}
 	fmt.Print(harness.FormatReads(rows))

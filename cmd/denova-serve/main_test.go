@@ -108,7 +108,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 	prof := workload.Varmail(0)
 	prof.NumOps = 600
-	oracle, err := harness.ReplayTraceOverClient(cl, prof)
+	oracle, err := harness.Replay(harness.OverWire(cl), prof)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,142 +1,105 @@
 package harness
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"bytes"
+	"fmt"
 	"testing"
 
+	"denova"
 	"denova/internal/pmem"
 )
 
-// TestAppendBenchFenceReduction is the acceptance gate for the split write
-// path's fence economy: the identical append stream must cost at least
-// MinAppendFenceReduction times fewer fences per appended page when staged
-// and relinked in AppendBatch-page batches than through the per-write slow
-// path. Fence counts come from the device's own counter, so this is
-// deterministic — no margin.
+// appendStream drives the split write path end to end through the public
+// API — File.WriteAt → staging → relink → Sync — with files × pages
+// one-page appends interleaved across the files. It returns the device, the
+// mounted file system, what each file must hold and the fences the stream
+// and its Sync issued, read from the device's own counter.
+func appendStream(t *testing.T, cfg denova.Config, files, pages int) (*pmem.Device, *denova.FS, [][]byte, int64) {
+	t.Helper()
+	dev := pmem.New(64<<20, pmem.ProfileZero)
+	fs, err := denova.Mkfs(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fhs := make([]*denova.File, files)
+	for i := range fhs {
+		if fhs[i], err = fs.Create(fmt.Sprintf("append-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([][]byte, files)
+	before := dev.Stats()
+	for p := 0; p < pages; p++ {
+		for i, f := range fhs {
+			pg := make([]byte, 4096)
+			for j := range pg {
+				pg[j] = byte(j*7 + i*pages + p)
+			}
+			if _, err := f.WriteAt(pg, int64(p)*4096); err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], pg...)
+		}
+	}
+	fs.Sync()
+	return dev, fs, want, dev.Stats().Sub(before).Fences
+}
+
+// TestAppendBenchFenceReduction pins the split write path's fence economy:
+// the same stream of 8 files × 64 one-page appends must issue at least 4×
+// fewer fences per page staged in 8-page batches than through the
+// per-write slow path. Fence counts come from the device's own counter, so
+// no margin applies.
 func TestAppendBenchFenceReduction(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	reports, paths, err := WriteAppendBenchJSON(dir)
-	if err != nil {
-		t.Fatal(err)
+	const files, pages = 8, 64
+	fencesPerPage := func(staging denova.StagingConfig) float64 {
+		_, fs, _, fences := appendStream(t, denova.Config{Mode: denova.ModeNone, Staging: staging}, files, pages)
+		defer fs.Unmount()
+		return float64(fences) / (files * pages)
 	}
-	if len(reports) != 2 || len(paths) != 2 {
-		t.Fatalf("got %d reports, %d paths, want 2 each", len(reports), len(paths))
+	slow := fencesPerPage(denova.StagingConfig{})
+	staged := fencesPerPage(denova.StagingConfig{MaxPages: 8})
+	t.Logf("fences/page: slow path %.3f, staged %.3f (%.2fx)", slow, staged, slow/staged)
+	if slow < 1 {
+		t.Errorf("slow path %.3f fences/page, want >= 1 (it fences every write)", slow)
 	}
-
-	byName := map[string]BenchReport{}
-	for i, rep := range reports {
-		byName[rep.Name] = rep
-		// Each report must round-trip from its written file with the
-		// fence headline intact.
-		raw, err := os.ReadFile(paths[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got BenchReport
-		if err := json.Unmarshal(raw, &got); err != nil {
-			t.Fatalf("%s: not valid JSON: %v", paths[i], err)
-		}
-		if got.FencesPerPage != rep.FencesPerPage {
-			t.Errorf("%s: fences_per_page %v on disk vs %v in memory", paths[i], got.FencesPerPage, rep.FencesPerPage)
-		}
-		if got.FencesPerPage <= 0 {
-			t.Errorf("%s: fences_per_page = %v, want > 0", paths[i], got.FencesPerPage)
-		}
-		if got.OpsPerSec <= 0 {
-			t.Errorf("%s: ops/s = %v, want > 0", paths[i], got.OpsPerSec)
-		}
-	}
-
-	base, ok := byName["baseline-nova_append"]
-	if !ok {
-		t.Fatal("baseline append report missing")
-	}
-	staged, ok := byName["denova-staged_append"]
-	if !ok {
-		t.Fatal("staged append report missing")
-	}
-	if want := filepath.Join(dir, "BENCH_denova-staged_append.json"); paths[1] != want {
-		t.Errorf("staged report path = %q, want %q", paths[1], want)
-	}
-
-	// Only the staged run enters the SLO gate's by-profile matching; the
-	// baseline exists for the ratio.
-	if staged.Profile != "append" {
-		t.Errorf("staged report Profile = %q, want \"append\"", staged.Profile)
-	}
-	if base.Profile != "" {
-		t.Errorf("baseline report Profile = %q, want empty", base.Profile)
-	}
-
-	// The staged run must expose the stage/relink histograms the SLO entry
-	// bounds — a rename there must fail here, not silently pass the gate.
-	for _, op := range []string{"nova.write.stage", "nova.write.relink"} {
-		if l, ok := staged.Latency[op]; !ok || l.Count == 0 {
-			t.Errorf("staged report missing %q latency", op)
-		}
-	}
-
-	// The slow path pays roughly two fences per page; staging must not.
-	if base.FencesPerPage < 1 {
-		t.Errorf("baseline fences/page = %.3f, want >= 1 (slow path fences every write)", base.FencesPerPage)
-	}
-	ratio := AppendFenceReduction(reports)
-	if ratio < MinAppendFenceReduction {
-		t.Fatalf("fence reduction %.2fx (baseline %.3f vs staged %.3f fences/page), want >= %dx",
-			ratio, base.FencesPerPage, staged.FencesPerPage, MinAppendFenceReduction)
-	}
-	t.Logf("fences/page: baseline %.3f, staged %.3f, reduction %.2fx",
-		base.FencesPerPage, staged.FencesPerPage, ratio)
-}
-
-// TestAppendFenceReductionDegenerate pins the helper's zero-value contract.
-func TestAppendFenceReductionDegenerate(t *testing.T) {
-	t.Parallel()
-	if r := AppendFenceReduction(nil); r != 0 {
-		t.Errorf("no reports: ratio = %v, want 0", r)
-	}
-	only := []BenchReport{{Name: "baseline-nova_append", FencesPerPage: 2}}
-	if r := AppendFenceReduction(only); r != 0 {
-		t.Errorf("missing staged report: ratio = %v, want 0", r)
+	if slow < 4*staged {
+		t.Errorf("staged %.3f fences/page vs slow path %.3f: want at least 4x fewer", staged, slow)
 	}
 }
 
-// TestRunAppendOracle checks the bench writes what it thinks it writes: the
-// staged run's files must be fully durable and byte-correct after the final
-// Sync (the fence savings must not come from skipped persistence).
+// TestRunAppendOracle checks the staged appends are what they claim: after
+// Sync, every page reads back byte-exact from the image a crash leaves, so
+// the fence saving cannot come from skipped persistence. 9 pages per file
+// leave one ragged tail past a full 8-page batch.
 func TestRunAppendOracle(t *testing.T) {
 	t.Parallel()
-	const files, pages = 2, 9 // 9 pages: one ragged tail past a full batch
-	res, fs, err := RunAppend(true, files, pages, pmem.ProfileZero)
+	cfg := denova.Config{Mode: denova.ModeNone, Staging: denova.StagingConfig{MaxPages: 8}}
+	dev, fs, want, fences := appendStream(t, cfg, 2, 9)
+	if fences <= 0 {
+		t.Errorf("staged run issued %d fences, want > 0 (relink must fence)", fences)
+	}
+	fs.UnmountDirty()
+	fs2, _, err := denova.Mount(dev.CrashImage(pmem.CrashDropDirty, 0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fs.Unmount()
-	if res.Fences <= 0 {
-		t.Errorf("staged run issued %d fences, want > 0 (relink must fence)", res.Fences)
-	}
-	page := make([]byte, 4096)
-	for i := range page {
-		page[i] = byte(i*7 + 3)
-	}
-	for i := 0; i < files; i++ {
-		f, err := fs.Open(appendBenchName(i))
+	defer fs2.Unmount()
+	for i, w := range want {
+		f, err := fs2.Open(fmt.Sprintf("append-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, 4096)
-		for p := 0; p < pages; p++ {
-			if _, err := f.ReadAt(buf, int64(p)*4096); err != nil {
-				t.Fatalf("file %d page %d: %v", i, p, err)
-			}
-			for j := range buf {
-				if buf[j] != page[j] {
-					t.Fatalf("file %d page %d byte %d: got %#x want %#x", i, p, j, buf[j], page[j])
-				}
-			}
+		if f.Size() != int64(len(w)) {
+			t.Fatalf("file %d: size %d after Sync and a crash, want %d", i, f.Size(), len(w))
+		}
+		got := make([]byte, len(w))
+		if _, err := f.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, w) {
+			t.Fatalf("file %d does not read back as written after Sync and a crash", i)
 		}
 	}
 }

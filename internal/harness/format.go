@@ -72,15 +72,18 @@ func FormatWriteResults(title string, rows []WriteResult) string {
 		})
 }
 
-// FormatNormalized renders Fig. 11: write vs overwrite normalized to the
-// baseline write throughput.
-func FormatNormalized(rows []struct {
+// NormalizedRow is one Fig. 11 cell.
+type NormalizedRow struct {
 	Model     string
 	Workload  string
 	Write     float64 // MB/s
 	Overwrite float64 // MB/s
 	Baseline  float64 // MB/s (baseline NOVA write)
-}) string {
+}
+
+// FormatNormalized renders Fig. 11: write vs overwrite normalized to the
+// baseline write throughput.
+func FormatNormalized(rows []NormalizedRow) string {
 	return "Fig. 11 — normalized write/overwrite throughput (baseline NOVA write = 1.0)\n" +
 		table(func(w *tabwriter.Writer) {
 			fmt.Fprintln(w, "Model\tWorkload\tWrite (norm)\tOverwrite (norm)")

@@ -78,7 +78,7 @@ func TestMultiTenantSmoke(t *testing.T) {
 	if !info.Clean {
 		t.Error("clean unmount not detected on remount")
 	}
-	if err := VerifyOracle(fs2, res.Oracle); err != nil {
+	if err := verify(inProcess(fs2), res.Oracle); err != nil {
 		t.Fatalf("post-remount oracle: %v", err)
 	}
 	if err := fs2.Fsck(); err != nil {

@@ -27,8 +27,8 @@ func TestRunProfileSmoke(t *testing.T) {
 	if res.Ops != 600 {
 		t.Errorf("ops = %d, want 600", res.Ops)
 	}
-	if res.OpsPerSec() <= 0 {
-		t.Errorf("ops/s = %v", res.OpsPerSec())
+	if res.Elapsed <= 0 {
+		t.Errorf("elapsed = %v", res.Elapsed)
 	}
 	if res.Bytes <= 0 || res.Read <= 0 {
 		t.Errorf("bytes written %d / read %d", res.Bytes, res.Read)
@@ -42,9 +42,6 @@ func TestRunProfileSmoke(t *testing.T) {
 		if h.P50Ns <= 0 || h.P99Ns < h.P50Ns || h.MaxNs < h.P99Ns {
 			t.Errorf("latency %q not monotone: %+v", op, h)
 		}
-	}
-	if res.OpCounts["create"] == 0 || res.OpCounts["read"] == 0 {
-		t.Errorf("op counts incomplete: %v", res.OpCounts)
 	}
 	if len(res.Oracle) == 0 {
 		t.Error("no surviving files in oracle")

@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -86,19 +87,16 @@ func (r WriteResult) MBps() float64 {
 	return float64(r.Bytes) / (1 << 20) / r.Elapsed.Seconds()
 }
 
-// MedianBy returns the result with the median throughput (wall-clock
-// benchmark runs drift with GC and CPU-boost state; figure cells are
-// measured over interleaved rounds and reduced with this).
-func MedianBy(rs []WriteResult) WriteResult {
+// MedianBy returns the result with the median key, typically throughput
+// (wall-clock benchmark runs drift with GC and CPU-boost state; figure
+// cells are measured over interleaved rounds and reduced with this).
+func MedianBy[T any](rs []T, key func(T) float64) T {
 	if len(rs) == 0 {
-		return WriteResult{}
+		var zero T
+		return zero
 	}
-	sorted := append([]WriteResult(nil), rs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].MBps() < sorted[j-1].MBps(); j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := append([]T(nil), rs...)
+	sort.SliceStable(sorted, func(i, j int) bool { return key(sorted[i]) < key(sorted[j]) })
 	return sorted[len(sorted)/2]
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"testing"
 
 	"denova"
@@ -9,6 +10,11 @@ import (
 	"denova/internal/workload"
 )
 
+// inProcess is a fresh in-process target, for reading a file system back.
+func inProcess(fs *denova.FS) Target {
+	return &fsTarget{fs: fs, files: map[string]*denova.File{}}
+}
+
 // TestRunProfileOverServerVarmail is the serving layer's end-to-end gate:
 // the varmail profile replayed over loopback TCP through the wire codec,
 // admission control and op scheduler, with the content oracle verifying
@@ -16,13 +22,14 @@ import (
 // -race by the concurrency CI job.
 func TestRunProfileOverServerVarmail(t *testing.T) {
 	t.Parallel()
-	res, err := RunProfileOverServer(
+	res, fs, err := RunProfile(
 		FSConfig{Mode: denova.ModeImmediate},
 		tinyProfile(workload.Varmail(0), 800),
-		ServeProfileOptions{Threads: 3, Profile: pmem.ProfileZero})
+		ProfileOptions{Threads: 3, Profile: pmem.ProfileZero, Server: &server.Config{}, KeepFS: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs.Unmount()
 	if res.Ops != 800 {
 		t.Errorf("ops = %d, want 800", res.Ops)
 	}
@@ -34,8 +41,9 @@ func TestRunProfileOverServerVarmail(t *testing.T) {
 	}
 	// Server-side per-op latencies (p50/p99) must be visible in the shared
 	// obs registry for every op the replay exercises.
+	snap := fs.Metrics()
 	for _, op := range []string{"create", "write", "read", "stat", "commit"} {
-		h, ok := res.OpLatency["serve.op."+op]
+		h, ok := snap.Histograms["serve.op."+op]
 		if !ok || h.Count == 0 {
 			t.Errorf("serve.op.%s histogram missing", op)
 			continue
@@ -51,10 +59,10 @@ func TestRunProfileOverServerVarmail(t *testing.T) {
 // the network front-end composes with the offline dedup pipeline.
 func TestRunProfileOverServerDedups(t *testing.T) {
 	t.Parallel()
-	res, err := RunProfileOverServer(
+	res, _, err := RunProfile(
 		FSConfig{Mode: denova.ModeImmediate},
 		tinyProfile(workload.BackupIngest(0), 400),
-		ServeProfileOptions{Threads: 2, Profile: pmem.ProfileZero})
+		ProfileOptions{Threads: 2, Profile: pmem.ProfileZero, Server: &server.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +76,71 @@ func TestRunProfileOverServerDedups(t *testing.T) {
 // loop must still complete the whole trace with the oracle intact.
 func TestRunProfileOverServerUnderShedding(t *testing.T) {
 	t.Parallel()
-	res, err := RunProfileOverServer(
+	res, fs, err := RunProfile(
 		FSConfig{Mode: denova.ModeImmediate},
 		tinyProfile(workload.Fileserver(0), 400),
-		ServeProfileOptions{
-			Threads: 4, Profile: pmem.ProfileZero,
-			Server: server.Config{Workers: 1, MaxInflight: 2, QueueDepth: 1},
+		ProfileOptions{
+			Threads: 4, Profile: pmem.ProfileZero, KeepFS: true,
+			Server: &server.Config{Workers: 1, MaxInflight: 2, QueueDepth: 1},
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs.Unmount()
 	if res.Ops != 400 {
 		t.Errorf("ops = %d, want 400", res.Ops)
 	}
-	t.Logf("sheds absorbed by retries: %d", res.Shed)
+	t.Logf("sheds absorbed by retries: %d", fs.Metrics().Counters["serve.shed"])
+}
+
+// TestRunProfileOverServerMatchesInProcess replays the same profile prefix
+// once in process and once over loopback, with the same thread count: the
+// transport must not change the end state. The two oracles are
+// byte-identical, each file system reads back to them, and both pass Fsck.
+func TestRunProfileOverServerMatchesInProcess(t *testing.T) {
+	t.Parallel()
+	for _, prof := range []workload.Profile{workload.Varmail(400), workload.Multitenant(400, 3)} {
+		prof := prof
+		t.Run(prof.Name, func(t *testing.T) {
+			t.Parallel()
+			run := func(srv *server.Config) (map[string][]byte, *denova.FS) {
+				res, fs, err := RunProfile(FSConfig{Mode: denova.ModeImmediate}, prof,
+					ProfileOptions{Threads: 2, Profile: pmem.ProfileZero, Server: srv, KeepFS: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { fs.Unmount() })
+				return res.Oracle, fs
+			}
+			local, localFS := run(nil)
+			wire, wireFS := run(&server.Config{})
+			if len(local) == 0 || len(local) != len(wire) {
+				t.Fatalf("surviving files: %d in process, %d over the wire", len(local), len(wire))
+			}
+			for path, want := range local {
+				if got, ok := wire[path]; !ok || !bytes.Equal(got, want) {
+					t.Errorf("%s: wire oracle differs from in-process oracle", path)
+				}
+			}
+			for name, fs := range map[string]*denova.FS{"in-process": localFS, "wire": wireFS} {
+				if err := verify(inProcess(fs), local); err != nil {
+					t.Errorf("%s FS: %v", name, err)
+				}
+				if err := fs.Fsck(); err != nil {
+					t.Errorf("%s FS: fsck: %v", name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestRunProfileOverServerRejectsGCEvery: forced GC has no wire op, so a
+// wire run that asks for it must fail up front, not silently skip it.
+func TestRunProfileOverServerRejectsGCEvery(t *testing.T) {
+	t.Parallel()
+	_, _, err := RunProfile(FSConfig{Mode: denova.ModeNone}, tinyProfile(workload.Fileserver(0), 10),
+		ProfileOptions{Profile: pmem.ProfileZero, Server: &server.Config{}, GCEvery: 4})
+	if err == nil {
+		t.Fatal("GCEvery accepted with a Server")
+	}
 }

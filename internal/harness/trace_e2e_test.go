@@ -67,7 +67,12 @@ func TestTraceE2EOverServer(t *testing.T) {
 	}
 	defer cl.Close()
 
-	if _, err := ReplayTraceOverClient(cl, prof); err != nil {
+	for tn := 0; tn < prof.Tenants; tn++ {
+		if err := cl.Mkdir(prof.TenantDir(tn)); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+	}
+	if _, err := Replay(OverWire(cl), prof); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 

@@ -101,7 +101,7 @@ func (m Mix) pick(rng *rand.Rand) OpKind {
 // use the built-ins (Fileserver, Varmail, Webproxy, BackupIngest,
 // Multitenant) or fill the fields and rely on Normalized for defaults.
 type Profile struct {
-	// Name labels the profile in reports and BENCH_* artifacts.
+	// Name labels the profile in reports and test output.
 	Name string
 	// Tenants is the number of independent namespaces (directories) the
 	// trace spreads over. 1 = single namespace in the root.
@@ -448,8 +448,8 @@ func (g *PayloadGen) Data(op Op) []byte {
 }
 
 // Built-in profiles. The numOps parameter scales trace length; everything
-// else is the profile's identity and stays fixed so BENCH_* artifacts are
-// comparable across commits.
+// else is the profile's identity and stays fixed so runs are comparable
+// across commits.
 
 // Fileserver is a filebench fileserver-style mix: balanced data ops over a
 // medium file population with a zipfian hot set.
