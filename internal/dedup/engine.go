@@ -16,11 +16,12 @@ import (
 // write hook that feeds the DWQ.
 //
 // ProcessEntry is safe for any number of concurrent callers: the inode lock
-// serializes transactions on one file, the FACT's striped chain locks
-// serialize lookups/inserts on one chain, and every count transfer is a
-// single atomic 8-byte persist, so no interleaving of workers can expose a
-// state the single-threaded daemon could not (see DESIGN.md "Parallel
-// dedup").
+// serializes the revalidation and the transaction proper on one file (the
+// fingerprinting in between runs unlocked, and what it hashed is checked
+// again under the lock), the FACT's striped chain locks serialize
+// lookups/inserts on one chain, and every count transfer is a single atomic
+// 8-byte persist, so no interleaving of workers can expose a state the
+// single-threaded daemon could not (see DESIGN.md "Parallel dedup").
 type Engine struct {
 	fs    *nova.FS
 	table *fact.Table
@@ -34,6 +35,10 @@ type Engine struct {
 
 	obs        *Observer             // metrics/tracing; nil = uninstrumented
 	userLinger func(d time.Duration) // user-facing DWQ linger hook (see SetLingerHook)
+
+	// hashed, when set (by tests only, before any consumer runs), is called
+	// between ProcessEntry's unlocked fingerprinting and its relock.
+	hashed func(Node)
 
 	stats Stats
 }
@@ -103,6 +108,13 @@ func (e *Engine) Release(blocks []uint64, free func(block uint64)) {
 	e.table.DecRefBatch(blocks, free)
 }
 
+// candPage is a page ProcessEntry fingerprints: mapped, when the node was
+// revalidated, by the node's own entry.
+type candPage struct {
+	pg, block uint64
+	fp        fact.FP
+}
+
 // pageTxn records one page's position in an open transaction.
 type pageTxn struct {
 	pg        uint64
@@ -115,11 +127,12 @@ type pageTxn struct {
 }
 
 // Scratch is one dedup consumer's working memory, reused from node to node:
-// the page being fingerprinted and the per-node transaction lists. Each
-// consumer (a daemon worker, a Drain call) owns one; the zero value is ready
-// to use.
+// the page being fingerprinted and the per-node page and transaction lists.
+// Each consumer (a daemon worker, a Drain call) owns one; the zero value is
+// ready to use.
 type Scratch struct {
 	chunk  [ChunkSize]byte
+	cands  []candPage
 	txns   []pageTxn
 	commit []uint64
 }
@@ -127,10 +140,17 @@ type Scratch struct {
 // ProcessEntry runs Algorithm 1 for one DWQ node. Returns false if the
 // node was stale (file deleted, entry shadowed, or flag already advanced).
 //
-// The transaction follows Fig. 6 exactly:
+// The transaction follows Fig. 6:
 //
 //	① the node was dequeued by the caller,
-//	② fingerprints are generated and looked up in the FACT,
+//	② fingerprints are generated and looked up in the FACT — in three
+//	   phases: under the inode lock the node is revalidated and the pages
+//	   its entry still maps are collected; the lock is dropped and those
+//	   pages are read and hashed behind a free-pin (nova.FS.PinFrees), so
+//	   the foreground is not held up by T_f; under the lock again the node
+//	   is revalidated and, if the radix tree changed meanwhile, every page
+//	   no longer mapped by the node's entry to the block that was hashed is
+//	   dropped,
 //	③ the UC of each touched FACT entry is raised (BeginTxn),
 //	④ a new write entry is appended per duplicate page, pointing at the
 //	   canonical block, with dedupe-flag in_process,
@@ -195,57 +215,77 @@ func (e *Engine) ProcessEntry(node Node, sc *Scratch) bool {
 		return finish(false)
 	}
 	in.Lock()
-	defer in.Unlock()
-
-	// Validate the node against the live log: the inode slot or the log
-	// page could have been reused since enqueue. The ownership check must
-	// come first — a reclaimed page may already belong to another inode,
-	// whose appends are synchronized by a different lock, so even reading
-	// its bytes here would be a data race.
-	if !in.OwnsEntry(node.EntryOff) {
+	cands, gen, pin, ok := e.collectLocked(in, node, sc)
+	in.Unlock()
+	if !ok {
 		atomic.AddInt64(&e.stats.EntriesSkipped, 1)
 		return finish(false)
 	}
-	if nova.DedupeFlagOf(e.fs.Dev, node.EntryOff) != nova.FlagNeeded {
-		atomic.AddInt64(&e.stats.EntriesSkipped, 1)
-		return finish(false)
-	}
-	we, err := nova.ReadWriteEntry(e.fs.Dev, node.EntryOff)
-	if err != nil || we.Ino != node.Ino {
-		atomic.AddInt64(&e.stats.EntriesSkipped, 1)
-		return finish(false)
-	}
+	defer pin.Release()
 	stage(obs.OpDedupRevalidate, node.EntryOff)
 
-	// ②③ Fingerprint each still-current page and open FACT transactions.
-	txns, chunk := sc.txns[:0], sc.chunk[:]
-	for i := uint64(0); i < uint64(we.NumPages); i++ {
-		pg := we.PgOff + i
-		block, entryOff, mapped := in.Mapping(pg)
-		if !mapped || entryOff != node.EntryOff {
-			atomic.AddInt64(&e.stats.PagesStale, 1)
-			continue // shadowed by a later foreground write
+	// ② Unlocked: hash every candidate page. A page the pin can no longer
+	// read (a forced drain freed limbo) ends the scan; the rest stay
+	// un-deduplicated.
+	chunk, hashed := sc.chunk[:], 0
+	for ; hashed < len(cands); hashed++ {
+		c := &cands[hashed]
+		if !pin.ReadPinned(c.block, chunk) {
+			break
 		}
-		e.fs.ReadBlock(block, chunk)
-		fp := Strong(chunk)
-		atomic.AddInt64(&e.stats.PagesScanned, 1)
-		res, err := e.table.BeginTxn(fp, block)
+		c.fp = Strong(chunk)
+	}
+	atomic.AddInt64(&e.stats.PagesScanned, int64(hashed))
+	atomic.AddInt64(&e.stats.PagesStale, int64(len(cands)-hashed))
+	cands = cands[:hashed]
+	stage(obs.OpDedupFingerprint, uint64(hashed))
+	if e.hashed != nil {
+		e.hashed(node)
+	}
+
+	// ② Relocked: the node must still be this inode's and still need
+	// deduplication; a page whose mapping may have moved must map the
+	// hashed block from the node's entry still.
+	in.Lock()
+	defer in.Unlock()
+	if !in.OwnsEntry(node.EntryOff) || nova.DedupeFlagOf(e.fs.Dev, node.EntryOff) != nova.FlagNeeded {
+		atomic.AddInt64(&e.stats.EntriesSkipped, 1)
+		return finish(false)
+	}
+	if in.TreeGenLocked() != gen {
+		broken := pin.Broken()
+		kept := cands[:0]
+		for _, c := range cands {
+			// A broken pin freed blocks that may since hold another
+			// writer's data under a recycled entry: trust no page.
+			if block, entryOff, mapped := in.Mapping(c.pg); !broken && mapped && block == c.block && entryOff == node.EntryOff {
+				kept = append(kept, c)
+			}
+		}
+		atomic.AddInt64(&e.stats.PagesStale, int64(len(cands)-len(kept)))
+		cands = kept
+	}
+	pin.Release()
+
+	// ③ Open a FACT transaction per page.
+	txns := sc.txns[:0]
+	for _, c := range cands {
+		res, err := e.table.BeginTxn(c.fp, c.block)
 		if err != nil {
 			// FACT full: stop opening transactions; everything begun so
 			// far still commits below, the rest simply stays un-deduped.
 			break
 		}
-		if res.Dup && res.Canonical == block {
+		if res.Dup && res.Canonical == c.block {
 			// Re-processed entry (Inconsistency Handling III): the page
 			// already owns its FACT entry. Drop the UC; nothing to do.
 			e.table.AbortTxn(res.Idx)
 			atomic.AddInt64(&e.stats.PagesOwned, 1)
 			continue
 		}
-		txns = append(txns, pageTxn{pg: pg, block: block, factIdx: res.Idx, canonical: res.Canonical, dup: res.Dup})
+		txns = append(txns, pageTxn{pg: c.pg, block: c.block, factIdx: res.Idx, canonical: res.Canonical, dup: res.Dup})
 	}
 	sc.txns = txns
-	stage(obs.OpDedupFingerprint, uint64(len(txns)))
 
 	// ④ Append a remapping write entry per duplicate page: each reserves
 	// its own log slot and lands flushed but unfenced.
@@ -302,4 +342,33 @@ func (e *Engine) ProcessEntry(node Node, sc *Scratch) bool {
 	stage(obs.OpDedupRemap, uint64(remapped))
 	atomic.AddInt64(&e.stats.EntriesProcessed, 1)
 	return finish(true)
+}
+
+// collectLocked revalidates node against the live log and collects, into
+// sc.cands, the pages its entry still maps. It returns them with the radix
+// tree's mutation counter and a free-pin covering their blocks, or ok false
+// for a stale node. The caller holds the inode lock.
+func (e *Engine) collectLocked(in *nova.Inode, node Node, sc *Scratch) (cands []candPage, gen uint64, pin nova.FreePin, ok bool) {
+	// The inode slot or the log page could have been reused since enqueue.
+	// The ownership check must come first — a reclaimed page may already
+	// belong to another inode, whose appends are synchronized by a
+	// different lock, so even reading its bytes here would be a data race.
+	if !in.OwnsEntry(node.EntryOff) || nova.DedupeFlagOf(e.fs.Dev, node.EntryOff) != nova.FlagNeeded {
+		return nil, 0, pin, false
+	}
+	we, err := nova.ReadWriteEntry(e.fs.Dev, node.EntryOff)
+	if err != nil || we.Ino != node.Ino {
+		return nil, 0, pin, false
+	}
+	cands = sc.cands[:0]
+	for pg := we.PgOff; pg < we.PgOff+uint64(we.NumPages); pg++ {
+		block, entryOff, mapped := in.Mapping(pg)
+		if !mapped || entryOff != node.EntryOff {
+			atomic.AddInt64(&e.stats.PagesStale, 1)
+			continue // shadowed by a later foreground write
+		}
+		cands = append(cands, candPage{pg: pg, block: block})
+	}
+	sc.cands = cands
+	return cands, in.TreeGenLocked(), e.fs.PinFrees(), true
 }

@@ -4,8 +4,11 @@ package nova
 // engine runs Algorithm 1 of the paper: it appends write entries that remap
 // duplicate file pages onto canonical blocks, commits them with the inode
 // log tail, updates the radix tree, and reclaims the now-obsolete copies.
-// All *Locked methods require the inode's write lock (the dedup daemon
-// holds it for the whole transaction, §IV-E).
+// All *Locked methods require the inode's write lock. The dedup daemon
+// holds it for the transaction proper (§IV-E) but not while it fingerprints
+// a node's pages: it reads them with FreePin.ReadPinned (pin.go) and, back
+// under the lock, uses TreeGenLocked to tell whether a page it hashed can
+// have moved.
 
 import (
 	"sync/atomic"

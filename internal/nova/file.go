@@ -203,6 +203,7 @@ func (fs *FS) commitExtentsLocked(in *Inode, exts []fileExtent, flag uint8, trai
 func (fs *FS) installRadixLocked(in *Inode, pg0, block uint64, np int64, entryOff uint64) {
 	in.addLiveLocked(entryOff, int(np))
 	in.shadow = in.shadow[:0]
+	in.treeGen++
 	for i := int64(0); i < np; i++ {
 		newBlock := block + uint64(i)
 		prev, replaced := in.tree.Insert(pg0+uint64(i), rtree.Value{Block: newBlock, Entry: entryOff})
@@ -328,6 +329,7 @@ func (fs *FS) deleteInodeLocked(in *Inode) {
 	})
 	fs.reclaimShadowedLocked(in)
 	in.tree.Clear()
+	in.treeGen++
 	for _, pg := range in.logPages {
 		fs.alloc.Free(pg, 1)
 	}

@@ -44,6 +44,7 @@ type FS struct {
 	releaser BlockReleaser
 	freeFn   func(block uint64) // fs.freeBlock, bound once for the releaser
 	reclaim  reclaimQueue       // releases deferred to the dedup daemon
+	pins     freePins           // the dedup daemon's unlocked block reads
 	onWrite  WriteHook
 	obs      *Observer // metrics/tracing; nil = uninstrumented
 
@@ -242,8 +243,15 @@ func (fs *FS) FreeBlocks() int64 { return fs.alloc.FreeBlocks() }
 func (fs *FS) Allocator() *Allocator { return fs.alloc }
 
 // freeBlock is the releaser's free callback: one released data block goes
-// back to the free pool.
+// back to the free pool, or to limbo while a free-pin is held.
 func (fs *FS) freeBlock(block uint64) {
+	if !fs.pins.park(block) {
+		fs.freeNow(block)
+	}
+}
+
+// freeNow returns data block block to the free pool.
+func (fs *FS) freeNow(block uint64) {
 	fs.alloc.Free(block, 1)
 	atomic.AddInt64(&fs.blocksFreed, 1)
 }

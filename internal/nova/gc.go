@@ -194,6 +194,7 @@ func (fs *FS) thoroughGCLocked(in *Inode) (reclaimedPages int) {
 	// DRAM state: remap radix entries to the copies, rebuild the page list
 	// and live counts, free the old pages (all except the tail page).
 	newLive := make(map[uint64]int, len(newPages)+1)
+	in.treeGen++
 	for _, p := range placeds {
 		for i := uint64(0); i < uint64(p.run.n); i++ {
 			in.tree.Insert(p.run.pg+i, rtree.Value{Block: p.run.block + i, Entry: p.newOff})

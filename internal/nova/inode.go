@@ -154,6 +154,7 @@ type Inode struct {
 	pending uint64 // next free slot past uncommitted appends (0 = none)
 
 	tree     rtree.Tree     // file page offset -> {block, entryOff}
+	treeGen  uint64         // bumped by every change to tree; see TreeGenLocked
 	logPages []uint64       // ordered log page blocks
 	live     map[uint64]int // log page block -> live references
 	pages    uint64         // data pages currently referenced
@@ -182,8 +183,11 @@ func (ino *Inode) Size() uint64 {
 	return sz
 }
 
-// Lock acquires the inode's write lock (exposed for the dedup daemon, which
-// per §IV-E "holds an inode lock" for the whole transaction).
+// Lock acquires the inode's write lock (exposed for the dedup daemon). The
+// daemon holds it for a transaction's revalidation, FACT transactions and
+// remap (§IV-E), but drops it while it fingerprints the node's pages: it
+// reads them behind a free-pin (FS.PinFrees) and, back under the lock,
+// keeps only the pages TreeGenLocked says cannot have moved.
 func (ino *Inode) Lock() { ino.mu.Lock() }
 
 // Unlock releases the write lock.
@@ -194,6 +198,11 @@ func (ino *Inode) Mapping(pg uint64) (block, entryOff uint64, ok bool) {
 	v, ok := ino.tree.Lookup(pg)
 	return v.Block, v.Entry, ok
 }
+
+// TreeGenLocked returns the radix tree's mutation counter: equal values
+// under the inode lock mean no page mapping changed in between. The caller
+// holds the inode lock.
+func (ino *Inode) TreeGenLocked() uint64 { return ino.treeGen }
 
 // OwnsEntry reports whether the entry at device offset off lies inside one
 // of the inode's current log pages. The inode lock must be held. The dedup

@@ -144,12 +144,13 @@ func (fs *FS) ServeReclaim(max int) int {
 
 // DrainReclaim releases every queued block and waits for batches other
 // goroutines took earlier, so every block handed to the queue before the
-// call has been released when it returns. Fsck, unmount, the daemon's
-// DrainSync and the scrubber call it; so does every allocation that would
-// otherwise fail with ErrNoSpace.
+// call has been released when it returns; then it frees the free-pins'
+// limbo. Fsck, unmount, the daemon's DrainSync and the scrubber call it; so
+// does every allocation that would otherwise fail with ErrNoSpace.
 func (fs *FS) DrainReclaim() {
 	fs.ServeReclaim(0)
 	fs.reclaim.waitTaken()
+	fs.drainLimbo()
 }
 
 // allocBlocks is every data-block and log-page allocation: space held by

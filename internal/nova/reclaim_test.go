@@ -1,6 +1,7 @@
 package nova
 
 import (
+	"bytes"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -114,6 +115,88 @@ func TestDeferredReclaimENOSPC(t *testing.T) {
 	}
 	if _, err := fs.Write(in, PageSize, page, FlagNone); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("write on a full device with an empty queue: err = %v, want ErrNoSpace", err)
+	}
+}
+
+// TestPinnedReclaimENOSPC: blocks a free-pin holds in limbo are space an
+// allocation may not fail for. The ENOSPC retry frees them whatever pins are
+// held and breaks those pins, so they read nothing more.
+func TestPinnedReclaimENOSPC(t *testing.T) {
+	t.Parallel()
+	_, fs := mkfsT(t, WithReleaser(freeAll()))
+	in := writeFileT(t, fs, "f", patternData(8*PageSize, 1))
+	block, _, _ := in.Mapping(0)
+	held := make(map[uint64]bool)
+	for {
+		b, err := fs.alloc.Alloc(0, 1)
+		if err != nil {
+			break
+		}
+		held[b] = true
+	}
+	in.mu.Lock()
+	pin := fs.PinFrees()
+	in.mu.Unlock()
+	defer pin.Release()
+	if err := fs.Truncate(in, 0, FlagNone); err != nil {
+		t.Fatal(err)
+	}
+	if pins, limbo := fs.FreePins(); pins != 1 || limbo != 8 || fs.FreeBlocks() != 0 {
+		t.Fatalf("%d pins, %d blocks in limbo, %d free; want 1, 8 and 0", pins, limbo, fs.FreeBlocks())
+	}
+	buf := make([]byte, PageSize)
+	if !pin.ReadPinned(block, buf) || !bytes.Equal(buf, patternData(8*PageSize, 1)[:PageSize]) {
+		t.Fatal("pinned read of a block in limbo did not return its bytes")
+	}
+	page := patternData(PageSize, 2)
+	if _, err := fs.Write(in, 0, page, FlagNone); err != nil {
+		t.Fatalf("write with the only free space in limbo: %v", err)
+	}
+	if pins, limbo := fs.FreePins(); pins != 1 || limbo != 0 || fs.FreeBlocks() != 7 {
+		t.Fatalf("%d pins, %d blocks in limbo, %d free; want 1, 0 and 7", pins, limbo, fs.FreeBlocks())
+	}
+	if !pin.Broken() || pin.ReadPinned(block, buf) {
+		t.Fatal("a pin whose limbo was freed still reads")
+	}
+	pin.Release()
+	if pins, limbo := fs.FreePins(); pins != 0 || limbo != 0 {
+		t.Fatalf("%d pins, %d blocks in limbo after release", pins, limbo)
+	}
+	if err := fs.Fsck(func(b uint64) bool { return held[b] }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFreePinLimboOrder: a block leaves limbo once every pin taken before
+// it was freed is released; a pin taken later does not hold it.
+func TestFreePinLimboOrder(t *testing.T) {
+	t.Parallel()
+	_, fs := mkfsT(t, WithReleaser(freeAll()))
+	a := writeFileT(t, fs, "a", patternData(2*PageSize, 1))
+	b := writeFileT(t, fs, "b", patternData(3*PageSize, 2))
+	free0 := fs.FreeBlocks()
+	first := fs.PinFrees()
+	if err := fs.Truncate(a, 0, FlagNone); err != nil { // 2 blocks, held by first
+		t.Fatal(err)
+	}
+	second := fs.PinFrees()
+	if err := fs.Truncate(b, 0, FlagNone); err != nil { // 3 blocks, held by both
+		t.Fatal(err)
+	}
+	if _, limbo := fs.FreePins(); limbo != 5 || fs.FreeBlocks() != free0 {
+		t.Fatalf("%d blocks in limbo, %d free; want 5 and %d", limbo, fs.FreeBlocks(), free0)
+	}
+	first.Release()
+	if _, limbo := fs.FreePins(); limbo != 3 || fs.FreeBlocks() != free0+2 {
+		t.Fatalf("after the first release: %d blocks in limbo, %d free; want 3 and %d", limbo, fs.FreeBlocks(), free0+2)
+	}
+	first.Release() // a second release is a no-op
+	second.Release()
+	if pins, limbo := fs.FreePins(); pins != 0 || limbo != 0 || fs.FreeBlocks() != free0+5 {
+		t.Fatalf("after both releases: %d pins, %d blocks in limbo, %d free", pins, limbo, fs.FreeBlocks())
+	}
+	if err := fs.Fsck(nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -109,6 +109,7 @@ func (fs *FS) TruncateCtx(in *Inode, size uint64, flag uint8, sc obs.SpanContext
 // size and hands each to drop, then sets the size.
 func (in *Inode) dropMappingsLocked(size uint64, drop func(v rtree.Value)) {
 	if size < in.size {
+		in.treeGen++
 		firstGone := (size + PageSize - 1) / PageSize
 		var gone []uint64
 		in.tree.Walk(func(pg uint64, _ rtree.Value) bool {

@@ -48,7 +48,7 @@ var ErrCrashInjected = fmt.Errorf("pmem: injected crash")
 // with its own locks held; the word stripe nests inside the line shard
 // (Store64 holds atomMu while saveOld takes dirty[i].mu).
 //
-//denova:lockorder dedup.quiesce < nova.inode < nova.stage < nova.reclaim < nova.alloc < nova.imu < dwq.shard < dwq.doorbell < dedup.tick < dedup.idle < fact.chain < fact.reorder < fact.iaa < obs.registry < pmem.word < pmem.line < pmem.shadow
+//denova:lockorder dedup.quiesce < nova.inode < nova.stage < nova.reclaim < nova.pingate < nova.limbo < nova.alloc < nova.imu < dwq.shard < dwq.doorbell < dedup.tick < dedup.idle < fact.chain < fact.reorder < fact.iaa < obs.registry < pmem.word < pmem.line < pmem.shadow
 
 const dirtyShards = 64
 
