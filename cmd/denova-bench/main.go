@@ -12,13 +12,15 @@
 //
 // The -scale flag shrinks or grows the workload sizes (1.0 means the
 // default sizes below; the paper's full 1,000,000-file runs correspond to
-// roughly -scale 300 and hours of wall-clock).
+// roughly -scale 300 and hours of wall-clock). -cpuprofile writes a CPU
+// profile of the artifacts run.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -29,11 +31,12 @@ import (
 )
 
 var (
-	scale     = flag.Float64("scale", 1.0, "workload size multiplier")
-	threads   = flag.Int("threads", 1, "writer threads for fig8/space")
-	profile   = flag.String("profile", "optane-dcpm", "device profile: optane-dcpm, dram, pcm, stt-ram, zero")
-	thinkTime = flag.Bool("think", true, "interleave think time equal to I/O time (paper §V-B1)")
-	reps      = flag.Int("reps", 3, "interleaved measurement rounds per figure cell (median reported)")
+	scale      = flag.Float64("scale", 1.0, "workload size multiplier")
+	threads    = flag.Int("threads", 1, "writer threads for fig8/space")
+	profile    = flag.String("profile", "optane-dcpm", "device profile: optane-dcpm, dram, pcm, stt-ram, zero")
+	thinkTime  = flag.Bool("think", true, "interleave think time equal to I/O time (paper §V-B1)")
+	reps       = flag.Int("reps", 3, "interleaved measurement rounds per figure cell (median reported)")
+	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 )
 
 // artifacts lists every table and figure in the order "all" runs them.
@@ -115,7 +118,11 @@ func n(base int) int {
 	return v
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with its exit code returned, so the CPU profile is stopped
+// and flushed on every path out.
+func run() int {
 	flag.Parse()
 	names := make([]string, len(artifacts))
 	for i, a := range artifacts {
@@ -123,25 +130,43 @@ func main() {
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintf(os.Stderr, "usage: denova-bench [flags] <%s|all>\n", strings.Join(names, "|"))
-		os.Exit(2)
+		return 2
 	}
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+			}
+		}()
+	}
+	name := flag.Arg(0)
 	ran := false
 	for _, a := range artifacts {
-		if flag.Arg(0) != "all" && flag.Arg(0) != a.name {
+		if name != "all" && name != a.name {
 			continue
 		}
 		ran = true
 		start := time.Now()
 		if err := a.run(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", a.name, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("[%s done in %v]\n\n", a.name, time.Since(start).Round(time.Millisecond))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown artifact %q\n", flag.Arg(0))
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "unknown artifact %q\n", name)
+		return 2
 	}
+	return 0
 }
 
 func table1() error {

@@ -13,7 +13,7 @@
 //	denova-serve [-img fs.img | -size 256M] [-mode immediate]
 //	             [-addr 127.0.0.1:7070] [-metrics 127.0.0.1:0]
 //	             [-addr-file path] [-serve-workers N]
-//	             [-max-inflight N] [-queue-depth N]
+//	             [-max-inflight N] [-queue-depth N] [-cpuprofile file]
 //
 // With -addr 127.0.0.1:0 the kernel picks a port; -addr-file writes the
 // bound serve address (line 1) and metrics address (line 2, when -metrics
@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -78,8 +79,25 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	srvWorkers := fl.Int("serve-workers", 0, "op scheduler worker count (0 = default)")
 	maxInflight := fl.Int("max-inflight", 0, "admission control: max in-flight ops (0 = default 256)")
 	queueDepth := fl.Int("queue-depth", 0, "admission control: per-worker queue depth (0 = default 64)")
+	cpuprofile := fl.String("cpuprofile", "", "write a CPU profile of the whole serve lifetime to this file")
 	if err := fl.Parse(args); err != nil {
 		return err
+	}
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "denova-serve: cpuprofile:", err)
+			}
+		}()
 	}
 
 	m, err := parseMode(*mode)

@@ -217,3 +217,25 @@ func TestServeImageRoundTrip(t *testing.T) {
 		}
 	})
 }
+
+// TestServeCPUProfile: -cpuprofile covers the serve lifetime and leaves a
+// complete profile once run returns.
+func TestServeCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	addrFile, profile := filepath.Join(dir, "addr"), filepath.Join(dir, "cpu.pprof")
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{
+			"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-size", fmt.Sprint(64 << 20), "-cpuprofile", profile,
+		}, newSyncWriter(), stop)
+	}()
+	waitForAddrFile(t, addrFile)
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(profile); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile not written: %v", err)
+	}
+}

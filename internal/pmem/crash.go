@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 )
 
@@ -119,11 +120,18 @@ func (d *Device) CrashImage(mode CrashMode, seed int64) *Device {
 	}
 	// Walk dirty lines; for each, decide whether the volatile content
 	// (already in img.buf) survives or the old persisted content is
-	// restored.
+	// restored. Lines are visited in ascending order within each shard, so
+	// an eviction image depends on its seed alone and not on map order.
+	var lines []int64
 	for i := range d.dirty {
 		sh := &d.dirty[i]
 		sh.mu.Lock()
-		for l, old := range sh.old {
+		lines = lines[:0]
+		for l := range sh.old {
+			lines = append(lines, l)
+		}
+		slices.Sort(lines)
+		for _, l := range lines {
 			restore := false
 			switch mode {
 			case CrashDropDirty:
@@ -134,7 +142,8 @@ func (d *Device) CrashImage(mode CrashMode, seed int64) *Device {
 				restore = false
 			}
 			if restore {
-				copy(img.buf[l*CacheLineSize:], old)
+				old := sh.old[l]
+				copy(img.buf[l*CacheLineSize:], old[:])
 			}
 		}
 		sh.mu.Unlock()
@@ -151,9 +160,7 @@ func (d *Device) Clone() *Device {
 		sh := &d.dirty[i]
 		sh.mu.Lock()
 		for l, old := range sh.old {
-			cp := make([]byte, CacheLineSize)
-			copy(cp, old)
-			img.dirty[i].old[l] = cp
+			img.dirty[i].old[l] = old
 			atomic.AddInt32(&img.dirty[i].n, 1)
 			atomic.AddInt64(&img.dirtyCount, 1)
 		}

@@ -17,8 +17,14 @@
 //     scales latency with the number of concurrent accessors to reproduce
 //     device saturation.
 //
+// A charged call times its modelled latency from its entry, so the
+// simulator's own work (the copy, the counters, the locks) overlaps the
+// modelled wait: the call takes max(host, modelled) wall time, not their
+// sum. A wait shorter than one clock read is accounted but not timed.
+//
 // All counters are cheap atomics and are always maintained, so experiments
-// can report NVM access counts even with the zero latency profile.
+// can report NVM access counts even with the zero latency profile; counts
+// and SimLatencyNs are exact whatever the host.
 package pmem
 
 import (
@@ -58,7 +64,7 @@ const dirtyShards = 64
 type dirtyShard struct {
 	mu  sync.Mutex //denova:locks(pmem.line)
 	n   int32
-	old map[int64][]byte // line index -> previous persisted 64B content
+	old map[int64][CacheLineSize]byte // line index -> previous persisted content
 }
 
 // Device is a simulated persistent-memory device. All methods are safe for
@@ -108,7 +114,7 @@ func New(size int64, prof LatencyProfile) *Device {
 	}
 	d := &Device{buf: make([]byte, size), size: size, prof: prof}
 	for i := range d.dirty {
-		d.dirty[i].old = make(map[int64][]byte)
+		d.dirty[i].old = make(map[int64][CacheLineSize]byte)
 	}
 	return d
 }
@@ -146,10 +152,11 @@ func (d *Device) Read(off int64, p []byte) {
 	d.check(off, len(p))
 	d.checkDead()
 	lines := linesSpanned(off, len(p))
+	c := d.chargeRead(time.Duration(lines)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
 	atomic.AddInt64(&d.stats.ReadLines, lines)
 	atomic.AddInt64(&d.stats.ReadBytes, int64(len(p)))
-	d.chargeRead(time.Duration(lines)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
 	copy(p, d.buf[off:off+int64(len(p))])
+	c.wait()
 }
 
 // LoadLines snapshots the n consecutive cache lines starting at the line
@@ -165,6 +172,7 @@ func (d *Device) LoadLines(off int64, n int, dst []byte) {
 	if len(dst) < n*CacheLineSize {
 		panic("pmem: LoadLines destination shorter than n lines")
 	}
+	c := d.chargeRead(time.Duration(n)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
 	for i := 0; i < n; i++ {
 		mu := &d.atomMu[lineOf(off)%dirtyShards]
 		mu.Lock()
@@ -174,7 +182,7 @@ func (d *Device) LoadLines(off int64, n int, dst []byte) {
 	}
 	atomic.AddInt64(&d.stats.ReadLines, int64(n))
 	atomic.AddInt64(&d.stats.ReadBytes, int64(n)*CacheLineSize)
-	d.chargeRead(time.Duration(n)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
+	c.wait()
 }
 
 // LoadLine is LoadLines for the single line that holds off.
@@ -200,24 +208,31 @@ func (d *Device) WriteNT(off int64, p []byte) {
 	if len(p) == 0 {
 		return
 	}
-	atomic.AddInt64(&d.stats.WrittenBytes, int64(len(p)))
 	lines := linesSpanned(off, len(p))
-	// Fast path: no crash injector armed and no dirty pre-images anywhere —
-	// one copy and two counter updates. The bookkeeping must stay far below
-	// the modelled media cost, or T_w measurements would report simulator
-	// overhead instead of device behaviour.
-	if atomic.LoadInt32(&d.crashArmed) == 0 && atomic.LoadInt64(&d.dirtyCount) == 0 {
+	c := d.chargeWrite(time.Duration(lines) * d.prof.WritePerLine)
+	defer c.wait() // an injected crash still releases the governor slot
+	atomic.AddInt64(&d.stats.WrittenBytes, int64(len(p)))
+	// Fast path: no crash injector armed — one copy, then the pre-images of
+	// any dirty lines it covered are retired (an NT store persists each line
+	// it touches whole). The bookkeeping must stay far below the modelled
+	// media cost, or T_w measurements would report simulator overhead
+	// instead of device behaviour.
+	if atomic.LoadInt32(&d.crashArmed) == 0 {
 		copy(d.buf[off:], p)
+		if atomic.LoadInt64(&d.dirtyCount) != 0 {
+			for l, last := lineOf(off), lineOf(off)+lines; l < last; l++ {
+				d.persistLine(l)
+			}
+		}
 		atomic.AddInt64(&d.stats.NTLines, lines)
 		atomic.AddInt64(&d.persistOps, lines)
 		if d.ShadowEnabled() {
 			atomic.AddInt64(&d.fenceWork, 1)
 		}
-		d.chargeWrite(time.Duration(lines) * d.prof.WritePerLine)
 		return
 	}
 	// Slow path: copy and persist line by line so an injected crash can
-	// land mid-copy and dirty pre-images are retired exactly.
+	// land mid-copy.
 	pos := off
 	rem := p
 	for len(rem) > 0 {
@@ -238,7 +253,6 @@ func (d *Device) WriteNT(off int64, p []byte) {
 	if d.ShadowEnabled() {
 		atomic.AddInt64(&d.fenceWork, 1)
 	}
-	d.chargeWrite(time.Duration(lines) * d.prof.WritePerLine)
 }
 
 // Flush makes the cache lines covering [off, off+n) durable and charges
@@ -250,6 +264,8 @@ func (d *Device) Flush(off int64, n int) {
 		return
 	}
 	first, last := lineOf(off), lineOf(off+int64(n)-1)
+	c := d.chargeWrite(time.Duration(last-first+1)*d.prof.WritePerLine + d.prof.FlushOverhead)
+	defer c.wait() // an injected crash still releases the governor slot
 	redundant := int64(0)
 	for l := first; l <= last; l++ {
 		if !d.persistLine(l) {
@@ -261,7 +277,6 @@ func (d *Device) Flush(off int64, n int) {
 	if d.ShadowEnabled() {
 		d.shadowFlush(redundant)
 	}
-	d.chargeWrite(time.Duration(last-first+1)*d.prof.WritePerLine + d.prof.FlushOverhead)
 }
 
 // Fence orders prior flushes. In this model flushes are immediately durable,
@@ -269,11 +284,12 @@ func (d *Device) Flush(off int64, n int) {
 // API so call sites document the ordering they rely on.
 func (d *Device) Fence() {
 	d.checkDead()
+	c := d.chargeWrite(d.prof.FenceOverhead)
 	atomic.AddInt64(&d.stats.Fences, 1)
 	if d.ShadowEnabled() {
 		d.shadowFence()
 	}
-	d.chargeWrite(d.prof.FenceOverhead)
+	c.wait()
 }
 
 // Persist is the common store-barrier idiom: flush the given range, then
@@ -291,12 +307,13 @@ func (d *Device) Load64(off int64) uint64 {
 	if off%8 != 0 {
 		panic("pmem: unaligned Load64")
 	}
+	c := d.chargeRead(d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
 	mu := &d.atomMu[lineOf(off)%dirtyShards]
 	mu.Lock()
 	v := binary.LittleEndian.Uint64(d.buf[off:])
 	mu.Unlock()
 	atomic.AddInt64(&d.stats.ReadLines, 1)
-	d.chargeRead(d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
+	c.wait()
 	return v
 }
 
@@ -372,9 +389,7 @@ func (d *Device) saveOld(off int64, n int) {
 		sh := &d.dirty[l%dirtyShards]
 		sh.mu.Lock()
 		if _, ok := sh.old[l]; !ok {
-			cp := make([]byte, CacheLineSize)
-			copy(cp, d.buf[l*CacheLineSize:])
-			sh.old[l] = cp
+			sh.old[l] = [CacheLineSize]byte(d.buf[l*CacheLineSize:])
 			atomic.AddInt32(&sh.n, 1)
 			atomic.AddInt64(&d.dirtyCount, 1)
 		}

@@ -692,3 +692,91 @@ func TestLoadLineAtomicAgainstWordStores(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCrashEvictRandomDependsOnlyOnSeed takes eviction images from clones of
+// one dirty state. Every shard holds many dirty lines, so an image that
+// followed map iteration order would differ from one taking to the next.
+func TestCrashEvictRandomDependsOnlyOnSeed(t *testing.T) {
+	t.Parallel()
+	d := newDev(t, 16) // 1,024 dirty lines, 16 per shard
+	for l := int64(0); l < d.Size()/CacheLineSize; l++ {
+		d.Write(l*CacheLineSize, []byte{byte(l) | 1})
+	}
+	image := func(seed int64) []byte {
+		out := make([]byte, d.Size())
+		d.Clone().CrashImage(CrashEvictRandom, seed).Read(0, out)
+		return out
+	}
+	want := image(42)
+	for i := 0; i < 4; i++ {
+		if !bytes.Equal(image(42), want) {
+			t.Fatal("two images with seed 42 differ")
+		}
+	}
+	if bytes.Equal(image(43), want) {
+		t.Fatal("seeds 42 and 43 produced the same image")
+	}
+}
+
+// TestDeviceNeverFasterThanModel pins the contract of a charged call on
+// ProfileOptane: its SimLatencyNs is the profile arithmetic exactly, and N
+// calls take at least N times that in wall time — the host work a call
+// overlaps with its modelled wait never makes the device faster than the
+// machine it models.
+func TestDeviceNeverFasterThanModel(t *testing.T) {
+	t.Parallel()
+	const pages, calls = 64, 2000
+	d := New(pages*PageSize, ProfileOptane)
+	page := make([]byte, PageSize)
+	lines := make([]byte, 32*CacheLineSize)
+	var line [CacheLineSize]byte
+	at := func(i int) int64 { return int64(i%pages) * PageSize }
+	for _, k := range []struct {
+		name  string
+		simNs int64 // per call
+		call  func(i int)
+	}{
+		{"Read 4KB", 250 + 64*40, func(i int) { d.Read(at(i), page) }},
+		{"LoadLines 1", 250 + 40, func(i int) { d.LoadLine(at(i), &line) }},
+		{"LoadLines 32", 250 + 32*40, func(i int) { d.LoadLines(at(i), 32, lines) }},
+		{"WriteNT 4KB", 64 * 35, func(i int) { d.WriteNT(at(i), page) }},
+		{"Flush 1 line", 20 + 35, func(i int) { d.Flush(at(i), CacheLineSize) }},
+		{"Fence", 15, func(int) { d.Fence() }},
+		{"PersistStore64", 20 + 35 + 15, func(i int) { d.PersistStore64(at(i), uint64(i)) }},
+		{"Load64", 250 + 40, func(i int) { d.Load64(at(i)) }},
+	} {
+		before := d.Stats().SimLatencyNs
+		start := time.Now()
+		for i := 0; i < calls; i++ {
+			k.call(i)
+		}
+		wall := time.Since(start)
+		sim := d.Stats().SimLatencyNs - before
+		if sim != calls*k.simNs {
+			t.Errorf("%s: SimLatencyNs %d per call, want %d", k.name, sim/calls, k.simNs)
+		}
+		if wall.Nanoseconds() < sim {
+			t.Errorf("%s: %d calls took %v, faster than the modelled %v", k.name, calls, wall, time.Duration(sim))
+		}
+	}
+}
+
+// TestFirstStoreToCleanLineAllocatesNothing: a dirty line's pre-image lives
+// in its shard's map by value, so dirtying and persisting lines on a warmed
+// device allocates nothing.
+func TestFirstStoreToCleanLineAllocatesNothing(t *testing.T) {
+	d := newDev(t, 4)
+	i := 0
+	cycle := func() {
+		off := int64(i%(4*PageSize/8)) * 8
+		i++
+		d.Store64(off, uint64(i))
+		d.Persist(off, 8)
+	}
+	for j := 0; j < 4*PageSize/8; j++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("Store64 + Persist allocated %v times per cycle, want 0", n)
+	}
+}

@@ -111,42 +111,99 @@ var (
 	}
 )
 
-// charge spins the calling goroutine for dur (optionally scaled by the
-// number of concurrent accessors of the same class) to model media latency.
-// Reads and writes saturate independently — Optane's read bandwidth is
-// roughly 3× its write bandwidth and the two use separate internal queues,
-// which is what lets DeNOVA's background daemon read and fingerprint pages
-// without stealing foreground write bandwidth (§V-B1). Sub-microsecond
-// waits are busy-spun; the granularity of time.Since (~20–30 ns per call)
-// bounds the error, which is small relative to the 4 KB-page operations
-// that dominate.
-func (d *Device) chargeClass(dur time.Duration, inflight *int32) {
-	if dur <= 0 {
-		return
+// epoch anchors clock; time.Since on a monotonic reading is one clock read.
+var epoch = time.Now()
+
+// clock is the package's monotonic clock: the time since package init.
+func clock() time.Duration { return time.Since(epoch) }
+
+// clockRead is the host cost of one clock read, measured once at package
+// init. The spin loop cannot resolve a wait shorter than this, and the call
+// that owes it has already spent longer on its own bookkeeping, so such a
+// wait is accounted in SimLatencyNs but not timed.
+var clockRead = measureClockRead()
+
+// measureClockRead takes the cheapest of a few batches of clock reads, so a
+// preemption during one batch cannot inflate the threshold.
+func measureClockRead() time.Duration {
+	const batches, reads = 8, 256
+	best := time.Duration(1<<63 - 1)
+	for b := 0; b < batches; b++ {
+		start := clock()
+		for i := 0; i < reads; i++ {
+			clock()
+		}
+		if per := (clock() - start) / reads; per < best {
+			best = per
+		}
 	}
+	return best
+}
+
+// charge is one device call's modelled media time, begun at the call's
+// entry and ended by wait once the call's own work is done.
+type charge struct {
+	start    time.Duration // clock at entry; unset when the wait is not timed
+	dur      time.Duration // modelled wait; 0 when it is not timed
+	inflight *int32        // governor slot held until the deadline, or nil
+}
+
+// chargeClass begins a call's modelled media latency dur, optionally scaled
+// by the number of concurrent accessors of the same class. Reads and writes
+// saturate independently — Optane's read bandwidth is roughly 3× its write
+// bandwidth and the two use separate internal queues, which is what lets
+// DeNOVA's background daemon read and fingerprint pages without stealing
+// foreground write bandwidth (§V-B1).
+//
+// The contract every charged call keeps: the call begins its charge on
+// entry and waits at its end, so the copy, the counters and the locks
+// overlap the modelled wait and the call takes max(host, modelled) wall
+// time, not their sum. Counts and SimLatencyNs are exact; only a wait
+// shorter than one clock read goes untimed. The governor counts the call as
+// in flight from its entry to its deadline.
+func (d *Device) chargeClass(dur time.Duration, inflight *int32) charge {
+	if dur <= 0 {
+		return charge{}
+	}
+	var c charge
 	if d.prof.BandwidthSharing {
 		n := atomic.AddInt32(inflight, 1)
 		if n > 1 {
 			dur *= time.Duration(n)
 		}
-		defer atomic.AddInt32(inflight, -1)
+		c.inflight = inflight
 	}
 	atomic.AddInt64(&d.stats.SimLatencyNs, int64(dur))
-	spinWait(dur)
+	if dur >= clockRead {
+		c.start, c.dur = clock(), dur
+	}
+	return c
 }
 
-func (d *Device) chargeRead(dur time.Duration)  { d.chargeClass(dur, &d.inflightR) }
-func (d *Device) chargeWrite(dur time.Duration) { d.chargeClass(dur, &d.inflightW) }
+func (d *Device) chargeRead(dur time.Duration) charge  { return d.chargeClass(dur, &d.inflightR) }
+func (d *Device) chargeWrite(dur time.Duration) charge { return d.chargeClass(dur, &d.inflightW) }
 
-// spinWait waits for approximately dur. It deliberately avoids time.Sleep,
-// whose granularity (≥ ~50 µs under most schedulers) is three orders of
-// magnitude coarser than media latencies. A long wait yields the processor
-// once on entry: a goroutine stalled on the device is not consuming a CPU,
-// so on machines with fewer cores than goroutines the background daemon's
-// compute must be able to overlap with foreground device waits — exactly as
-// it would across cores on the paper's 40-core testbed.
-func spinWait(dur time.Duration) {
-	start := time.Now()
+// wait ends a charge: it spins out whatever the call's own work left of the
+// modelled wait, then releases the governor slot.
+func (c charge) wait() {
+	if c.dur > 0 {
+		spinWait(c.start, c.dur)
+	}
+	if c.inflight != nil {
+		atomic.AddInt32(c.inflight, -1)
+	}
+}
+
+// spinWait waits until dur has passed since start, a clock reading taken
+// at the call's entry; time the caller spent since then is not waited
+// again. It deliberately avoids time.Sleep, whose granularity (≥ ~50 µs
+// under most schedulers) is three orders of magnitude coarser than media
+// latencies. A long wait yields the processor once: a goroutine stalled on
+// the device is not consuming a CPU, so on machines with fewer cores than
+// goroutines the background daemon's compute must be able to overlap with
+// foreground device waits — exactly as it would across cores on the
+// paper's 40-core testbed.
+func spinWait(start, dur time.Duration) {
 	// Short waits (metadata flushes, fences, single-line reads) only spin:
 	// a Gosched can cost ~1 µs on virtualized single-CPU hosts, which would
 	// swamp a 70 ns flush. A long wait (a page transfer) yields once and then
@@ -156,6 +213,6 @@ func spinWait(dur time.Duration) {
 	if dur >= 2*time.Microsecond {
 		runtime.Gosched()
 	}
-	for time.Since(start) < dur {
+	for clock()-start < dur {
 	}
 }
