@@ -50,20 +50,6 @@ func main() {
 	}
 }
 
-func parseMode(s string) (denova.Mode, error) {
-	switch s {
-	case "none":
-		return denova.ModeNone, nil
-	case "inline":
-		return denova.ModeInline, nil
-	case "immediate":
-		return denova.ModeImmediate, nil
-	case "delayed":
-		return denova.ModeDelayed, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
-}
-
 // run is main minus process concerns, so the smoke test can drive a full
 // serve lifecycle in-process: it blocks until stop closes, then shuts down
 // cleanly and returns.
@@ -100,7 +86,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		}()
 	}
 
-	m, err := parseMode(*mode)
+	m, err := denova.ParseMode(*mode)
 	if err != nil {
 		return err
 	}

@@ -65,20 +65,6 @@ var (
 	workers = flag.Int("workers", 0, "recovery and dedup worker-pool size (0 = min(GOMAXPROCS, 8))")
 )
 
-func parseMode(s string) (denova.Mode, error) {
-	switch s {
-	case "none":
-		return denova.ModeNone, nil
-	case "inline":
-		return denova.ModeInline, nil
-	case "immediate":
-		return denova.ModeImmediate, nil
-	case "delayed":
-		return denova.ModeDelayed, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
-}
-
 // fmtBytes renders a byte count with a binary suffix (parseSize's inverse,
 // for display only).
 func fmtBytes(n int64) string {
@@ -141,7 +127,7 @@ func createOrOpen(fs *denova.FS, name string) *denova.File {
 }
 
 func cfg() denova.Config {
-	m, err := parseMode(*mode)
+	m, err := denova.ParseMode(*mode)
 	if err != nil {
 		fatal(err)
 	}
@@ -248,8 +234,8 @@ func printTop(fs *denova.FS, elapsed, dur, refresh time.Duration, prevBusy *[]in
 	fmt.Print("\033[H\033[2J") // home + clear
 	fmt.Printf("denovactl top — mode %s, elapsed %s / %s\n\n",
 		fs.Mode(), elapsed.Round(100*time.Millisecond), dur)
-	fmt.Printf("queue   len=%-6d peak=%-6d enq=%-8d deq=%-8d shards=%v\n",
-		st.Queue.Len, st.Queue.Peak, st.Queue.Enqueued, st.Queue.Dequeued, st.Queue.Shards)
+	fmt.Printf("queue   len=%-6d peak=%-6d enq=%-8d deq=%-8d\n",
+		st.Queue.Len, st.Queue.Peak, st.Queue.Enqueued, st.Queue.Dequeued)
 	if len(st.Workers) > 0 {
 		fmt.Print("workers ")
 		for i, w := range st.Workers {
@@ -586,9 +572,9 @@ func main() {
 			st.Dedup.EntriesProcessed, st.Dedup.PagesDuplicate, st.Dedup.PagesUnique)
 		fmt.Printf("FACT:            %d lookups (avg walk %.2f), %d inserts, %d reorders\n",
 			st.Fact.Lookups, st.Fact.AvgWalk(), st.Fact.Inserts, st.Fact.Reorders)
-		if len(snap.Queue.Shards) > 0 {
-			fmt.Printf("queue:           %d queued (peak %d), %d enq / %d deq, shard depths %v\n",
-				snap.Queue.Len, snap.Queue.Peak, snap.Queue.Enqueued, snap.Queue.Dequeued, snap.Queue.Shards)
+		if fs.Mode() != denova.ModeNone {
+			fmt.Printf("queue:           %d queued (peak %d), %d enq / %d deq\n",
+				snap.Queue.Len, snap.Queue.Peak, snap.Queue.Enqueued, snap.Queue.Dequeued)
 		}
 		for i, w := range snap.Workers {
 			fmt.Printf("worker %-2d:       %d batches, %d nodes, %s busy\n",

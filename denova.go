@@ -84,6 +84,22 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// ParseMode maps a command-line mode name — none, inline, immediate or
+// delayed — to its Mode.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "none":
+		return ModeNone, nil
+	case "inline":
+		return ModeInline, nil
+	case "immediate":
+		return ModeImmediate, nil
+	case "delayed":
+		return ModeDelayed, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q: %w", s, ErrInvalid)
+}
+
 // Config tunes a file-system instance.
 type Config struct {
 	// Mode selects the deduplication strategy. Default ModeNone.
@@ -93,17 +109,15 @@ type Config struct {
 	DelayBatch    int
 	// MaxInodes bounds the inode table (default 4096).
 	MaxInodes int64
-	// DisableReorder turns off FACT IAA chain reordering (§IV-E), for
-	// ablation experiments.
-	DisableReorder bool
 	// ScrubEvery runs the background FACT scrubber every N daemon wakeups
 	// (0 = never; scrubbing also runs explicitly via ScrubNow).
 	ScrubEvery int
-	// Workers sets the dedup daemon's worker-pool size for the offline
-	// modes. <= 0 selects the default (GOMAXPROCS, capped at 8). Each
-	// worker drains DWQ batches, fingerprints pages, and commits FACT
-	// transactions concurrently; crash consistency holds under any
-	// interleaving (see DESIGN.md "Parallel dedup").
+	// Workers sets the worker-pool size of the dedup daemon (offline
+	// modes) and of mount-time recovery. <= 0 selects the default:
+	// GOMAXPROCS, capped at 8. Each dedup worker drains DWQ batches,
+	// fingerprints pages, and commits FACT transactions concurrently;
+	// crash consistency holds under any interleaving (see DESIGN.md
+	// "Parallel dedup").
 	Workers int
 	// NoDaemon suppresses the background daemon for the offline modes:
 	// queued work runs only when Sync is called, on the caller's
@@ -154,6 +168,7 @@ func (c *Config) fill() {
 	if c.MaxInodes == 0 {
 		c.MaxInodes = 4096
 	}
+	c.Workers = resolveWorkers(c.Workers)
 	if c.Mode == ModeDelayed {
 		if c.DelayInterval <= 0 {
 			c.DelayInterval = 750 * time.Millisecond
@@ -239,7 +254,6 @@ func Mkfs(dev *Device, cfg Config) (*FS, error) {
 	table.ZeroFill()
 	if cfg.Mode != ModeNone {
 		f.table = table
-		f.table.ReorderEnabled = !cfg.DisableReorder
 		f.engine = dedup.NewEngine(nfs, f.table)
 	}
 	f.initObs()
@@ -297,15 +311,14 @@ func (r *RecoveryInfo) TotalWall() time.Duration {
 // freed while still referenced).
 func Mount(dev *Device, cfg Config) (*FS, *RecoveryInfo, error) {
 	cfg.fill()
-	workers := resolveWorkers(cfg.Workers)
-	nfs, scan, err := nova.Mount(dev, nova.WithMountWorkers(workers))
+	nfs, scan, err := nova.Mount(dev, nova.WithMountWorkers(cfg.Workers))
 	if err != nil {
 		return nil, nil, err
 	}
 	f := &FS{dev: dev, cfg: cfg, fs: nfs}
 	info := &RecoveryInfo{
 		Clean:            scan.Clean,
-		Workers:          workers,
+		Workers:          cfg.Workers,
 		Orphans:          scan.Orphans,
 		RepairsPersisted: scan.RepairsPersisted,
 		DentryCorrupt:    scan.DentryCorrupt,
@@ -313,7 +326,7 @@ func Mount(dev *Device, cfg Config) (*FS, *RecoveryInfo, error) {
 		Passes:           scan.Passes,
 	}
 	table := fact.Attach(dev, factConfig(nfs.Geo))
-	table.RecoveryWorkers = workers
+	table.RecoveryWorkers = cfg.Workers
 	if cfg.Mode == ModeNone {
 		start := time.Now()
 		before := dev.Stats()
@@ -333,7 +346,6 @@ func Mount(dev *Device, cfg Config) (*FS, *RecoveryInfo, error) {
 		return f, info, nil
 	}
 	f.table = table
-	f.table.ReorderEnabled = !cfg.DisableReorder
 	f.engine = dedup.NewEngine(nfs, f.table)
 	f.initObs()
 	info.Dedup = dedup.Recover(f.engine, scan)
@@ -345,8 +357,9 @@ func Mount(dev *Device, cfg Config) (*FS, *RecoveryInfo, error) {
 	return f, info, nil
 }
 
-// resolveWorkers mirrors the pool sizing used by the dedup daemon and the
-// mount scanner: <= 0 selects GOMAXPROCS capped at 8.
+// resolveWorkers is the one pool-size rule (Config.Workers): <= 0 selects
+// GOMAXPROCS capped at 8 — past a handful of workers the simulated device
+// (bandwidth-shared) is the bottleneck, not SHA-1.
 func resolveWorkers(n int) int {
 	if n > 0 {
 		return n
@@ -370,31 +383,19 @@ func factConfig(g nova.Geometry) fact.Config {
 // wireMode starts the daemon for the offline modes. Inline mode keeps the
 // engine as releaser but neither enqueues nor runs a daemon.
 func (f *FS) wireMode() {
-	switch f.cfg.Mode {
-	case ModeInline:
+	if f.cfg.Mode == ModeInline {
 		f.fs.SetWriteHook(nil) // inline writes never enter the DWQ
-	case ModeImmediate, ModeDelayed:
-		if f.cfg.NoDaemon {
-			return
-		}
+		return
 	}
-	switch f.cfg.Mode {
-	case ModeImmediate:
-		f.daemon = dedup.NewDaemon(f.engine, dedup.DaemonConfig{
-			Interval:   0,
-			ScrubEvery: f.cfg.ScrubEvery,
-			Workers:    f.cfg.Workers,
-		})
-		f.daemon.Start()
-	case ModeDelayed:
-		f.daemon = dedup.NewDaemon(f.engine, dedup.DaemonConfig{
-			Interval:   f.cfg.DelayInterval,
-			Batch:      f.cfg.DelayBatch,
-			ScrubEvery: f.cfg.ScrubEvery,
-			Workers:    f.cfg.Workers,
-		})
-		f.daemon.Start()
+	if f.cfg.NoDaemon {
+		return
 	}
+	dc := dedup.DaemonConfig{ScrubEvery: f.cfg.ScrubEvery, Workers: f.cfg.Workers}
+	if f.cfg.Mode == ModeDelayed {
+		dc.Interval, dc.Batch = f.cfg.DelayInterval, f.cfg.DelayBatch
+	}
+	f.daemon = dedup.NewDaemon(f.engine, dc)
+	f.daemon.Start()
 }
 
 // Mode returns the configured deduplication mode.

@@ -2,6 +2,7 @@ package denova
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -483,5 +484,24 @@ func TestDaemonPeriodicScrub(t *testing.T) {
 	}
 	if err := fs.Fsck(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Mode
+	}{
+		{"none", ModeNone},
+		{"inline", ModeInline},
+		{"immediate", ModeImmediate},
+		{"delayed", ModeDelayed},
+	} {
+		if got, err := ParseMode(c.name); err != nil || got != c.want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	if _, err := ParseMode("denova-immediate"); !errors.Is(err, ErrInvalid) {
+		t.Errorf("ParseMode of an unknown name: err = %v, want ErrInvalid", err)
 	}
 }

@@ -123,7 +123,7 @@ func (fl *File) WriteAtSpan(p []byte, off int64, sc SpanContext) (int, error) {
 	}
 	fs := fl.fs
 	if fs.stagingOn() {
-		n, err := fs.fs.StageWriteCtx(fl.in, uint64(off), p, fs.writeFlag(), sc)
+		n, err := fs.fs.StageWrite(fl.in, uint64(off), p, fs.writeFlag(), sc)
 		if err != nil {
 			return 0, err
 		}
@@ -147,7 +147,7 @@ func (fl *File) WriteAtSpan(p []byte, off int64, sc SpanContext) (int, error) {
 		}
 		return len(p), nil
 	default:
-		if _, err := fs.fs.WriteCtx(fl.in, uint64(off), p, fs.writeFlag(), sc); err != nil {
+		if _, err := fs.fs.Write(fl.in, uint64(off), p, fs.writeFlag(), sc); err != nil {
 			return 0, err
 		}
 		return len(p), nil
@@ -185,7 +185,7 @@ func (fl *File) ReadAtSpan(p []byte, off int64, sc SpanContext) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("read at %d: negative offset: %w", off, ErrInvalid)
 	}
-	return fl.fs.fs.ReadCtx(fl.in, uint64(off), p, sc)
+	return fl.fs.fs.Read(fl.in, uint64(off), p, sc)
 }
 
 // FileInfo describes a file, in the spirit of fs.FileInfo but with the
@@ -227,5 +227,5 @@ func (fl *File) TruncateSpan(size int64, sc SpanContext) error {
 	if size < 0 {
 		return fmt.Errorf("truncate to %d: negative size: %w", size, ErrInvalid)
 	}
-	return fl.fs.fs.TruncateCtx(fl.in, uint64(size), fl.fs.writeFlag(), sc)
+	return fl.fs.fs.Truncate(fl.in, uint64(size), fl.fs.writeFlag(), sc)
 }

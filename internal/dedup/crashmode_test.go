@@ -8,6 +8,7 @@ import (
 
 	"denova/internal/fact"
 	"denova/internal/nova"
+	"denova/internal/obs"
 	"denova/internal/pmem"
 )
 
@@ -102,7 +103,7 @@ func TestCrashSweepReclaimKeepDirty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.fs.Write(in, 0, pages(8, 9), nova.FlagNeeded)
+		r.fs.Write(in, 0, pages(8, 9), nova.FlagNeeded, obs.SpanContext{})
 		r.engine.Drain()
 	}
 	probe := build()
@@ -160,7 +161,7 @@ func buildParallelCrashBase(t *testing.T) (*pmem.Device, map[string][]byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Write(in, 0, data, nova.FlagNeeded); err != nil {
+		if _, err := fs.Write(in, 0, data, nova.FlagNeeded, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 		content[name] = data
@@ -315,7 +316,7 @@ func TestCrashSweepReclaimBatch(t *testing.T) {
 	r.write(t, "keep", pages(1, 2))
 	x := r.write(t, "x", pages(1, 5))
 	r.engine.Drain() // x page 0 now shares keep's block; page 1 is unique in the FACT
-	if _, err := r.fs.Write(x, 2*nova.PageSize, pages(6, 7), nova.FlagNone); err != nil {
+	if _, err := r.fs.Write(x, 2*nova.PageSize, pages(6, 7), nova.FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	base := r.dev
@@ -333,7 +334,7 @@ func TestCrashSweepReclaimBatch(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = r.fs.Write(in, 0, newX, nova.FlagNone)
+			_, err = r.fs.Write(in, 0, newX, nova.FlagNone, obs.SpanContext{})
 			return err
 		}, func(x []byte) bool { return bytes.Equal(x, oldX) || bytes.Equal(x, newX) }},
 		{"truncate", func(r *rig) error {
@@ -341,7 +342,7 @@ func TestCrashSweepReclaimBatch(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return r.fs.Truncate(in, 0, nova.FlagNone)
+			return r.fs.Truncate(in, 0, nova.FlagNone, obs.SpanContext{})
 		}, func(x []byte) bool { return bytes.Equal(x, oldX) || (x != nil && len(x) == 0) }},
 		{"delete", func(r *rig) error { return r.fs.Delete("x") },
 			func(x []byte) bool { return x == nil || bytes.Equal(x, oldX) }},
@@ -445,7 +446,7 @@ func TestCrashSweepDeferredReclaim(t *testing.T) {
 	r.write(t, "keep", pages(1, 2))
 	x := r.write(t, "x", pages(1, 5))
 	r.engine.Drain()
-	if _, err := r.fs.Write(x, 2*nova.PageSize, pages(6, 7), nova.FlagNone); err != nil {
+	if _, err := r.fs.Write(x, 2*nova.PageSize, pages(6, 7), nova.FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	base := r.dev
@@ -462,9 +463,12 @@ func TestCrashSweepDeferredReclaim(t *testing.T) {
 		run  func(r *rig) error
 		ok   func(x []byte) bool
 	}{
-		{"overwrite", func(r *rig) error { _, err := r.fs.Write(lookupX(r), 0, newX, nova.FlagNone); return err },
+		{"overwrite", func(r *rig) error {
+			_, err := r.fs.Write(lookupX(r), 0, newX, nova.FlagNone, obs.SpanContext{})
+			return err
+		},
 			func(x []byte) bool { return bytes.Equal(x, oldX) || bytes.Equal(x, newX) }},
-		{"truncate", func(r *rig) error { return r.fs.Truncate(lookupX(r), 0, nova.FlagNone) },
+		{"truncate", func(r *rig) error { return r.fs.Truncate(lookupX(r), 0, nova.FlagNone, obs.SpanContext{}) },
 			func(x []byte) bool { return bytes.Equal(x, oldX) || (x != nil && len(x) == 0) }},
 		{"delete", func(r *rig) error { return r.fs.Delete("x") },
 			func(x []byte) bool { return x == nil || bytes.Equal(x, oldX) }},

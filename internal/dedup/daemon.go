@@ -2,7 +2,6 @@ package dedup
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,33 +21,15 @@ type DaemonConfig struct {
 	// Scrub enables the periodic background FACT scrubber (§V-C2), every
 	// ScrubEvery wakeups.
 	ScrubEvery int
-	// Workers is the number of concurrent dedup worker goroutines. <= 0
-	// selects the default: GOMAXPROCS capped at 8.
+	// Workers is the number of concurrent dedup worker goroutines; <= 0
+	// counts as 1.
 	Workers int
 }
 
-// defaultMaxWorkers caps the default pool size; past a handful of workers
-// the simulated device (bandwidth-shared) is the bottleneck, not SHA-1.
-const defaultMaxWorkers = 8
-
 // workerChunk is how many nodes one worker claims per dequeue in immediate
-// mode: big enough to amortize the shard scan, small enough to share a
+// mode: big enough to amortize the queue lock, small enough to share a
 // burst across the pool.
 const workerChunk = 32
-
-func (cfg DaemonConfig) workers() int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > defaultMaxWorkers {
-		n = defaultMaxWorkers
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
 
 // WorkerStat is one worker's lifetime activity (the `denova stats`
 // utilization report).
@@ -96,7 +77,7 @@ type Daemon struct {
 // NewDaemon creates a daemon; call Start to launch it.
 func NewDaemon(e *Engine, cfg DaemonConfig) *Daemon {
 	d := &Daemon{engine: e, cfg: cfg, stop: make(chan struct{})}
-	d.stats = make([]WorkerStat, cfg.workers())
+	d.stats = make([]WorkerStat, max(cfg.Workers, 1))
 	d.tickCond = sync.NewCond(&d.tickMu)
 	d.idleCond = sync.NewCond(&d.idleMu)
 	return d
@@ -192,7 +173,6 @@ func (d *Daemon) ticker() {
 		case <-d.stop:
 			return
 		case <-t.C:
-			n := atomic.AddInt64(&d.wakeups, 1)
 			limit := int64(d.cfg.Batch)
 			if d.cfg.Batch <= 0 {
 				limit = math.MaxInt64 / 2
@@ -205,10 +185,17 @@ func (d *Daemon) ticker() {
 			// Budget-starved workers that found the queue empty park on the
 			// doorbell; wake them too so they re-claim budget.
 			d.engine.DWQ().WakeAll()
-			if d.cfg.ScrubEvery > 0 && n%int64(d.cfg.ScrubEvery) == 0 {
-				d.engine.ScrubNow()
-			}
+			d.wake()
 		}
+	}
+}
+
+// wake counts one trigger (see Wakeups) and runs the scrubber every
+// ScrubEvery of them.
+func (d *Daemon) wake() {
+	n := atomic.AddInt64(&d.wakeups, 1)
+	if d.cfg.ScrubEvery > 0 && n%int64(d.cfg.ScrubEvery) == 0 {
+		d.engine.ScrubNow()
 	}
 }
 
@@ -303,17 +290,14 @@ func (d *Daemon) worker(id int) {
 		}
 		d.service(id, nodes, &sc)
 		if d.cfg.Interval == 0 {
-			n := atomic.AddInt64(&d.wakeups, 1)
-			if d.cfg.ScrubEvery > 0 && n%int64(d.cfg.ScrubEvery) == 0 {
-				d.engine.ScrubNow()
-			}
+			d.wake()
 		}
 	}
 }
 
-// service processes one batch under the engine's scrub-quiescing read lock
-// and charges the worker's counters. endBusy runs deferred so an injected
-// crash unwinding through ProcessEntry still releases the idle tracking.
+// service processes one batch and charges the worker's counters. endBusy
+// runs deferred so an injected crash unwinding through ProcessEntry still
+// releases the idle tracking.
 func (d *Daemon) service(id int, nodes []Node, sc *Scratch) {
 	defer d.endBusy()
 	start := time.Now()
@@ -329,7 +313,13 @@ func (d *Daemon) service(id int, nodes []Node, sc *Scratch) {
 			o.Tracer.EmitShard(id, obs.OpDedupBatch, uint64(id), uint64(len(nodes)), busy)
 		}
 	}()
-	e := d.engine
+	d.engine.processBatch(nodes, sc)
+}
+
+// processBatch is the one consumer body every DWQ consumer runs: under the
+// scrub-quiescing read lock, ProcessEntry for each node, then the FACT
+// chain reorders the batch flagged.
+func (e *Engine) processBatch(nodes []Node, sc *Scratch) {
 	e.quiesce.RLock()
 	defer e.quiesce.RUnlock()
 	for _, node := range nodes {
@@ -377,8 +367,11 @@ func (d *Daemon) reclaim(id int) bool {
 func (d *Daemon) DrainSync() {
 	for {
 		d.engine.Drain()
-		d.engine.fs.DrainReclaim()
+		// A worker's in-flight batch holds a free-pin, and the forced limbo
+		// drain in DrainReclaim would break it, leaving that batch's unread
+		// pages un-deduplicated; let the batch finish first.
 		d.waitBusyZero()
+		d.engine.fs.DrainReclaim()
 		if d.idle() {
 			return
 		}
@@ -416,7 +409,7 @@ func (d *Daemon) waitBusyZero() {
 // Drain synchronously processes the queue until it is empty. Used by
 // unmount ("give the DD time to finish", §V-B4) and by tests. Safe to call
 // concurrently with a running daemon — the caller simply acts as one more
-// consumer against the same sharded queue.
+// consumer against the same queue.
 func (e *Engine) Drain() int {
 	n := 0
 	var sc Scratch
@@ -425,17 +418,8 @@ func (e *Engine) Drain() int {
 		if len(nodes) == 0 {
 			return n
 		}
-		func() {
-			e.quiesce.RLock()
-			defer e.quiesce.RUnlock()
-			for _, node := range nodes {
-				e.ProcessEntry(node, &sc)
-				n++
-			}
-			for _, prefix := range e.table.PendingReorders() {
-				e.table.ReorderChain(prefix)
-			}
-		}()
+		e.processBatch(nodes, &sc)
+		n += len(nodes)
 	}
 }
 

@@ -68,7 +68,7 @@ func (r *rig) write(t testing.TB, name string, data []byte) *nova.Inode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.fs.Write(in, 0, data, nova.FlagNeeded); err != nil {
+	if _, err := r.fs.Write(in, 0, data, nova.FlagNeeded, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	return in
@@ -81,7 +81,7 @@ func (r *rig) read(t testing.TB, name string, n int) []byte {
 		t.Fatal(err)
 	}
 	buf := make([]byte, n)
-	got, err := r.fs.Read(in, 0, buf)
+	got, err := r.fs.Read(in, 0, buf, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,6 @@ func TestWeakFingerprint(t *testing.T) {
 
 func TestDWQFIFO(t *testing.T) {
 	t.Parallel()
-	// The sharded queue promises FIFO per inode (all of an inode's nodes
-	// live in one shard); across inodes the dequeue order is unspecified.
 	q := NewDWQ()
 	for i := uint64(1); i <= 5; i++ {
 		q.Enqueue(Node{Ino: i, EntryOff: 1})
@@ -143,15 +141,13 @@ func TestDWQFIFO(t *testing.T) {
 		t.Fatalf("batch len = %d", len(got))
 	}
 	got = append(got, q.DequeueBatch(0)...)
-	lastOff := make(map[uint64]uint64)
-	for _, n := range got {
-		if n.EntryOff <= lastOff[n.Ino] {
-			t.Fatalf("per-inode order violated: ino %d entry %d after %d", n.Ino, n.EntryOff, lastOff[n.Ino])
-		}
-		lastOff[n.Ino] = n.EntryOff
+	if len(got) != 10 {
+		t.Fatalf("dequeued %d nodes, want 10", len(got))
 	}
-	if len(lastOff) != 5 {
-		t.Fatalf("saw %d inodes, want 5", len(lastOff))
+	for i, n := range got {
+		if want := (Node{Ino: uint64(i/2 + 1), EntryOff: uint64(i%2 + 1)}); n.Ino != want.Ino || n.EntryOff != want.EntryOff {
+			t.Fatalf("node %d = %d/%d, want %d/%d (enqueue order)", i, n.Ino, n.EntryOff, want.Ino, want.EntryOff)
+		}
 	}
 	enq, deq := q.Counts()
 	if enq != 10 || deq != 10 {
@@ -189,7 +185,7 @@ func TestSetLingerHookWhileDaemonRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	write := func(seed byte) error {
-		_, err := r.fs.Write(in, 0, pages(seed), nova.FlagNeeded)
+		_, err := r.fs.Write(in, 0, pages(seed), nova.FlagNeeded, obs.SpanContext{})
 		return err
 	}
 	const writes = 300
@@ -417,7 +413,7 @@ func TestDedupSkipsShadowedPages(t *testing.T) {
 	in, _ := r.fs.Lookup("f")
 	// Overwrite page 0 before dedup runs: the queued entry's page 0 is
 	// stale and must be skipped.
-	if _, err := r.fs.Write(in, 0, pages(9), nova.FlagNeeded); err != nil {
+	if _, err := r.fs.Write(in, 0, pages(9), nova.FlagNeeded, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	r.engine.Drain()
@@ -512,7 +508,7 @@ func TestOverwriteSharedBlockCoW(t *testing.T) {
 	r.write(t, "b", data)
 	r.engine.Drain()
 	ina, _ := r.fs.Lookup("a")
-	if _, err := r.fs.Write(ina, 0, pages(6), nova.FlagNeeded); err != nil {
+	if _, err := r.fs.Write(ina, 0, pages(6), nova.FlagNeeded, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	r.engine.Drain()
@@ -637,7 +633,7 @@ func TestInlineWriteENOSPC(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < nova.EntriesPerLogPage-tc.freeSlots; i++ {
-				if _, err := r.fs.Write(in, 0, pages(1), nova.FlagNone); err != nil {
+				if _, err := r.fs.Write(in, 0, pages(1), nova.FlagNone, obs.SpanContext{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -705,7 +701,7 @@ func TestInlineWriteENOSPC(t *testing.T) {
 
 func TestDaemonImmediateProcesses(t *testing.T) {
 	r := newRig(t)
-	d := NewDaemon(r.engine, DaemonConfig{Interval: 0})
+	d := NewDaemon(r.engine, DaemonConfig{Interval: 0, Workers: 2})
 	d.Start()
 	defer d.Stop()
 	r.write(t, "a", pages(1))
@@ -721,7 +717,7 @@ func TestDaemonImmediateProcesses(t *testing.T) {
 
 func TestDaemonDelayedBatching(t *testing.T) {
 	r := newRig(t)
-	d := NewDaemon(r.engine, DaemonConfig{Interval: 10 * time.Millisecond, Batch: 1})
+	d := NewDaemon(r.engine, DaemonConfig{Interval: 10 * time.Millisecond, Batch: 1, Workers: 2})
 	d.Start()
 	defer d.Stop()
 	for i := 0; i < 5; i++ {
@@ -744,7 +740,7 @@ func TestDaemonDelayedBatching(t *testing.T) {
 
 func TestDaemonDrainSync(t *testing.T) {
 	r := newRig(t)
-	d := NewDaemon(r.engine, DaemonConfig{Interval: time.Hour}) // never ticks
+	d := NewDaemon(r.engine, DaemonConfig{Interval: time.Hour, Workers: 2}) // never ticks
 	d.Start()
 	defer d.Stop()
 	free0 := r.fs.FreeBlocks()
@@ -823,9 +819,9 @@ func buildCrashBase(t *testing.T) *pmem.Device {
 	engine := NewEngine(fs, table)
 	_ = engine
 	in1, _ := fs.Create("a")
-	fs.Write(in1, 0, pages(1, 2, 3), nova.FlagNeeded)
+	fs.Write(in1, 0, pages(1, 2, 3), nova.FlagNeeded, obs.SpanContext{})
 	in2, _ := fs.Create("b")
-	fs.Write(in2, 0, pages(1, 9, 3), nova.FlagNeeded)
+	fs.Write(in2, 0, pages(1, 9, 3), nova.FlagNeeded, obs.SpanContext{})
 	return dev
 }
 
@@ -943,9 +939,9 @@ func TestCrashSweepDuringReclaim(t *testing.T) {
 		table.ZeroFill()
 		e := NewEngine(fs, table)
 		in1, _ := fs.Create("a")
-		fs.Write(in1, 0, pages(1, 2), nova.FlagNeeded)
+		fs.Write(in1, 0, pages(1, 2), nova.FlagNeeded, obs.SpanContext{})
 		in2, _ := fs.Create("b")
-		fs.Write(in2, 0, pages(1, 2), nova.FlagNeeded)
+		fs.Write(in2, 0, pages(1, 2), nova.FlagNeeded, obs.SpanContext{})
 		e.Drain()
 		return dev
 	}
@@ -954,7 +950,7 @@ func TestCrashSweepDuringReclaim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.fs.Write(in, 0, pages(8, 9), nova.FlagNeeded)
+		r.fs.Write(in, 0, pages(8, 9), nova.FlagNeeded, obs.SpanContext{})
 		r.engine.Drain()
 	}
 	probe := build()
@@ -986,7 +982,7 @@ func TestCrashSweepDuringReclaim(t *testing.T) {
 		ina, _ := rec.fs.Lookup("a")
 		buf := make([]byte, ChunkSize)
 		for pg := uint64(0); pg < 2; pg++ {
-			rec.fs.Read(ina, pg*ChunkSize, buf)
+			rec.fs.Read(ina, pg*ChunkSize, buf, obs.SpanContext{})
 			old := pages(byte(1 + pg))
 			new_ := pages(byte(8 + pg))
 			if !bytes.Equal(buf, old) && !bytes.Equal(buf, new_) {
@@ -1026,8 +1022,8 @@ func TestCleanUnmountRestoresDWQSnapshot(t *testing.T) {
 	table.ZeroFill()
 	e := NewEngine(fs, table)
 	in, _ := fs.Create("f")
-	fs.Write(in, 0, pages(1), nova.FlagNeeded)
-	fs.Write(in, ChunkSize, pages(1), nova.FlagNeeded)
+	fs.Write(in, 0, pages(1), nova.FlagNeeded, obs.SpanContext{})
+	fs.Write(in, ChunkSize, pages(1), nova.FlagNeeded, obs.SpanContext{})
 	// Clean unmount with the queue unprocessed.
 	if saved, overflow := SaveDWQ(e); saved != 2 || overflow {
 		t.Fatalf("saved=%d overflow=%v", saved, overflow)
@@ -1060,12 +1056,12 @@ func TestThoroughGCKeepsDedupWorking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.fs.Write(in, 0, dupData, nova.FlagNeeded); err != nil {
+	if _, err := r.fs.Write(in, 0, dupData, nova.FlagNeeded, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	// Churn enough no-dedup writes to relocate the entry via compaction.
 	for i := 0; i < 6*nova.EntriesPerLogPage; i++ {
-		if _, err := r.fs.Write(in, ChunkSize, pages(byte(i)), nova.FlagNone); err != nil {
+		if _, err := r.fs.Write(in, ChunkSize, pages(byte(i)), nova.FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1094,10 +1090,51 @@ func TestThoroughGCKeepsDedupWorking(t *testing.T) {
 	}
 }
 
+// TestDrainSyncKeepsWorkerPin: DrainSync must not break the free-pin of a
+// batch a worker still has in flight. A broken pin makes the worker drop
+// every page of a node whose radix tree moved in its unlocked window, so
+// those pages stay un-deduplicated after Sync returns.
+func TestDrainSyncKeepsWorkerPin(t *testing.T) {
+	r := newRig(t)
+	data := pages(1, 2)
+	r.write(t, "a", data)
+	b := r.write(t, "b", data)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	r.engine.hashed = func(n Node) {
+		if n.Ino == b.Ino() && held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	}
+	d := NewDaemon(r.engine, DaemonConfig{Workers: 1})
+	d.Start()
+	defer d.Stop()
+	<-entered
+	// Move b's radix tree while the worker is in its window, outside the
+	// pages its node covers.
+	if _, err := r.fs.Write(b, 5*ChunkSize, pages(3), nova.FlagNeeded, obs.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	synced := make(chan struct{})
+	go func() {
+		d.DrainSync()
+		close(synced)
+	}()
+	// Give a DrainSync that does not wait for the worker time to reach its
+	// forced reclaim drain before the window closes.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	<-synced
+	if got := r.engine.Stats().PagesDuplicate; got != 2 {
+		t.Fatalf("%d pages deduplicated after DrainSync, want b's 2", got)
+	}
+}
+
 // TestDaemonScrubEvery exercises the daemon-integrated scrubber path.
 func TestDaemonScrubEvery(t *testing.T) {
 	r := newRig(t)
-	d := NewDaemon(r.engine, DaemonConfig{Interval: time.Millisecond, Batch: 100, ScrubEvery: 2})
+	d := NewDaemon(r.engine, DaemonConfig{Interval: time.Millisecond, Batch: 100, ScrubEvery: 2, Workers: 2})
 	d.Start()
 	defer d.Stop()
 	data := pages(4)

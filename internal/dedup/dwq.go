@@ -2,8 +2,6 @@ package dedup
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,56 +25,35 @@ type Node struct {
 	Trace  uint64
 	Span   uint64
 	Tenant uint16
-
-	// seq is a global enqueue ordinal used to reconstruct FIFO order across
-	// shards for Save (the on-PM snapshot stays a single ordered stream).
-	seq uint64
 }
 
-// dwqShard is one independently locked FIFO segment of the queue. All nodes
-// of a given inode land in the same shard, so per-inode processing order is
-// preserved no matter how many workers drain concurrently.
-type dwqShard struct {
-	mu    sync.Mutex //denova:locks(dwq.shard)
-	items []Node
-	head  int // index of the next node to dequeue
-}
-
-// DWQ is the deduplication work queue: a DRAM FIFO sharded by inode and
-// shared by the foreground write path (producers) and a pool of
-// deduplication workers (consumers). Enqueue cost is one shard-mutex append
-// plus an atomic — negligible next to an NVM access, which is why the paper
-// measures <1 % foreground impact even under aggressive polling (§V-B1).
+// DWQ is the deduplication work queue of §IV-B1: a mutex-guarded FIFO in
+// DRAM shared by the foreground write path (producers) and a pool of
+// deduplication workers (consumers). Enqueue cost is one mutex-held append
+// — negligible next to an NVM access, which is why the paper measures <1 %
+// foreground impact even under aggressive polling (§V-B1).
 //
-// Sharding serves two purposes: producers on different inodes do not
-// contend on one mutex, and per-inode FIFO order is kept per shard without
-// any global ordering. Correctness does not depend on that order —
-// ProcessEntry revalidates every page against the live log (the per-page
-// entryOff check), so any delivery order is safe — but draining a file's
-// nodes oldest-first means newer nodes usually find their entries still
-// current instead of being skipped as stale and re-found later. Consumers
-// start their scan at a rotating shard cursor so
-// concurrent DequeueBatch calls drain disjoint shards in the common case.
+// Correctness does not depend on delivery order — ProcessEntry revalidates
+// every page against the live log (the per-page entryOff check) — but
+// draining oldest-first means newer nodes usually find their entries still
+// current instead of being skipped as stale and re-found later.
 //
-// The doorbell is a condition variable, not a channel: an edge-triggered
-// cap-1 channel loses wakeups when several consumers race (two enqueues can
-// collapse into one token, leaving a nonempty shard with no pending
-// doorbell and a worker asleep forever). Wait blocks only while the queue
-// is observably empty, and every Enqueue signals under the same mutex, so a
-// worker can never sleep while work is pending.
+// The doorbell is a condition variable on the queue's mutex, not a
+// channel: an edge-triggered cap-1 channel loses wakeups when several
+// consumers race (two enqueues can collapse into one token, leaving a
+// nonempty queue with no pending doorbell and a worker asleep forever).
+// Wait blocks only while the queue is observably empty, and every Enqueue
+// signals under the same mutex, so a worker can never sleep while work is
+// pending.
 type DWQ struct {
-	shards []dwqShard
-	cursor uint64 // atomic round-robin start shard for DequeueBatch
-
-	total    int64 // atomic: current queue length across shards
-	totalEnq int64 // atomic
-	totalDeq int64 // atomic
-	peakLen  int64 // atomic
-	seq      uint64
-
-	waitMu   sync.Mutex //denova:locks(dwq.doorbell)
-	waitCond *sync.Cond
-	wakeGen  uint64 // under waitMu: bumped by WakeAll so waiters re-check stop conditions
+	mu       sync.Mutex //denova:locks(dwq)
+	doorbell *sync.Cond // on mu
+	items    []Node
+	head     int    // index of the next node to dequeue
+	wakeGen  uint64 // bumped by WakeAll so waiters re-check stop conditions
+	totalEnq int64
+	totalDeq int64
+	peakLen  int
 
 	// lingerHook, when set, observes each dequeued node's time in queue
 	// (enqueue→dequeue), the Fig. 10 metric. May be called concurrently
@@ -96,110 +73,54 @@ func (q *DWQ) SetLingerHook(h func(d time.Duration)) {
 	q.lingerHook.Store(&h)
 }
 
-// defaultDWQShards bounds the shard count: enough for one shard per worker
-// on big hosts, without a 64-way fan-out on a laptop.
-const defaultDWQShards = 16
-
-// NewDWQ returns an empty queue with the default shard count
-// (min(GOMAXPROCS, 16), and at least 2 so the sharded paths are always
-// exercised).
+// NewDWQ returns an empty queue.
 func NewDWQ() *DWQ {
-	n := runtime.GOMAXPROCS(0)
-	if n > defaultDWQShards {
-		n = defaultDWQShards
-	}
-	if n < 2 {
-		n = 2
-	}
-	return NewDWQSharded(n)
-}
-
-// NewDWQSharded returns an empty queue with exactly nshard shards.
-func NewDWQSharded(nshard int) *DWQ {
-	if nshard < 1 {
-		nshard = 1
-	}
-	q := &DWQ{shards: make([]dwqShard, nshard)}
-	q.waitCond = sync.NewCond(&q.waitMu)
+	q := &DWQ{}
+	q.doorbell = sync.NewCond(&q.mu)
 	return q
 }
 
-// ShardCount returns the number of shards.
-func (q *DWQ) ShardCount() int { return len(q.shards) }
-
-// shardOf maps an inode to its shard. Fibonacci hashing spreads the
-// low-entropy sequential inode numbers across shards.
-func (q *DWQ) shardOf(ino uint64) *dwqShard {
-	h := ino * 0x9E3779B97F4A7C15
-	return &q.shards[h%uint64(len(q.shards))]
-}
-
-// Enqueue appends a work item to its inode's shard and rings the doorbell.
+// Enqueue appends a work item and rings the doorbell.
 func (q *DWQ) Enqueue(n Node) {
 	if n.Enqueued.IsZero() {
 		n.Enqueued = time.Now()
 	}
-	n.seq = atomic.AddUint64(&q.seq, 1)
-	sh := q.shardOf(n.Ino)
-	sh.mu.Lock()
-	sh.items = append(sh.items, n)
-	sh.mu.Unlock()
-	atomic.AddInt64(&q.totalEnq, 1)
-	l := atomic.AddInt64(&q.total, 1)
-	for {
-		p := atomic.LoadInt64(&q.peakLen)
-		if l <= p || atomic.CompareAndSwapInt64(&q.peakLen, p, l) {
-			break
-		}
-	}
-	// Signal under waitMu: a waiter is either inside Wait (and gets the
-	// signal) or has not yet checked the length (and will see total > 0).
-	q.waitMu.Lock()
-	q.waitCond.Signal()
-	q.waitMu.Unlock()
+	q.mu.Lock()
+	q.items = append(q.items, n)
+	q.totalEnq++
+	q.peakLen = max(q.peakLen, len(q.items)-q.head)
+	// Signal under mu: a waiter is either inside Wait (and gets the
+	// signal) or has not yet checked the length (and will see the node).
+	q.doorbell.Signal()
+	q.mu.Unlock()
 }
 
-// DequeueBatch removes up to m nodes (m <= 0 means all), scanning shards
-// round-robin from a rotating start position. Within a shard nodes come out
-// in FIFO order; across shards there is no global order (per-inode order is
-// all the pipeline needs — see ProcessEntry's stale-entry check).
+// DequeueBatch removes up to m nodes (m <= 0 means all) in FIFO order.
 func (q *DWQ) DequeueBatch(m int) []Node {
-	nsh := len(q.shards)
-	start := int(atomic.AddUint64(&q.cursor, 1)) % nsh
+	q.mu.Lock()
+	take := len(q.items) - q.head
+	if m > 0 && take > m {
+		take = m
+	}
 	var out []Node
-	for i := 0; i < nsh; i++ {
-		if m > 0 && len(out) >= m {
-			break
-		}
-		sh := &q.shards[(start+i)%nsh]
-		sh.mu.Lock()
-		avail := len(sh.items) - sh.head
-		take := avail
-		if m > 0 && take > m-len(out) {
-			take = m - len(out)
-		}
-		if take > 0 {
-			// The batch MUST be copied out (append copies): once the lock is
-			// released, concurrent enqueues may append into (and compaction
-			// may rewrite) the backing array a sub-slice would alias, handing
-			// the consumer duplicated and dropped nodes.
-			out = append(out, sh.items[sh.head:sh.head+take]...)
-			sh.head += take
-		}
-		if sh.head == len(sh.items) {
-			sh.items = sh.items[:0]
-			sh.head = 0
-		} else if sh.head > 4096 && sh.head*2 > len(sh.items) {
-			// Compact to keep the backing array bounded.
-			sh.items = append(sh.items[:0], sh.items[sh.head:]...)
-			sh.head = 0
-		}
-		sh.mu.Unlock()
+	if take > 0 {
+		// The batch MUST be copied out (append copies): once the lock is
+		// released, concurrent enqueues may append into (and compaction
+		// may rewrite) the backing array a sub-slice would alias, handing
+		// the consumer duplicated and dropped nodes.
+		out = append(out, q.items[q.head:q.head+take]...)
+		q.head += take
+		q.totalDeq += int64(take)
 	}
-	if len(out) > 0 {
-		atomic.AddInt64(&q.total, -int64(len(out)))
-		atomic.AddInt64(&q.totalDeq, int64(len(out)))
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	} else if q.head > 4096 && q.head*2 > len(q.items) {
+		// Compact to keep the backing array bounded.
+		q.items = append(q.items[:0], q.items[q.head:]...)
+		q.head = 0
 	}
+	q.mu.Unlock()
 	if h := q.lingerHook.Load(); h != nil {
 		now := time.Now()
 		for _, n := range out {
@@ -212,59 +133,56 @@ func (q *DWQ) DequeueBatch(m int) []Node {
 // Wait blocks until the queue is nonempty, other (when non-nil) reports
 // work held outside the queue, or WakeAll is called. Together with the
 // signal-under-mutex in Enqueue and Ring this is lost-wakeup-free: a worker
-// never sleeps while a nonempty shard, or other work published before its
-// Ring, has no pending doorbell. Spurious returns are possible (another
-// consumer may win the work); callers loop.
+// never sleeps while the queue, or other work published before its Ring,
+// has no pending doorbell. Spurious returns are possible (another consumer
+// may win the work); callers loop.
 func (q *DWQ) Wait(other func() bool) {
-	q.waitMu.Lock()
+	q.mu.Lock()
 	gen := q.wakeGen
-	for atomic.LoadInt64(&q.total) == 0 && q.wakeGen == gen && (other == nil || !other()) {
-		q.waitCond.Wait()
+	for len(q.items) == q.head && q.wakeGen == gen && (other == nil || !other()) {
+		q.doorbell.Wait()
 	}
-	q.waitMu.Unlock()
+	q.mu.Unlock()
 }
 
 // Ring wakes one waiter for work published outside the queue — the nova
 // reclaim queue rings it after each deferred batch.
 func (q *DWQ) Ring() {
-	q.waitMu.Lock()
-	q.waitCond.Signal()
-	q.waitMu.Unlock()
+	q.mu.Lock()
+	q.doorbell.Signal()
+	q.mu.Unlock()
 }
 
 // WakeAll wakes every waiter regardless of queue state (shutdown, tick, or
 // any change of external conditions a waiter should re-check).
 func (q *DWQ) WakeAll() {
-	q.waitMu.Lock()
+	q.mu.Lock()
 	q.wakeGen++
-	q.waitCond.Broadcast()
-	q.waitMu.Unlock()
+	q.doorbell.Broadcast()
+	q.mu.Unlock()
 }
 
-// Len returns the number of queued nodes across all shards.
-func (q *DWQ) Len() int { return int(atomic.LoadInt64(&q.total)) }
-
-// ShardLens returns the current depth of each shard (the `denova stats`
-// per-shard queue report).
-func (q *DWQ) ShardLens() []int {
-	out := make([]int, len(q.shards))
-	for i := range q.shards {
-		sh := &q.shards[i]
-		sh.mu.Lock()
-		out[i] = len(sh.items) - sh.head
-		sh.mu.Unlock()
-	}
-	return out
+// Len returns the number of queued nodes.
+func (q *DWQ) Len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.items) - q.head
 }
 
 // Counts returns lifetime enqueue/dequeue totals.
 func (q *DWQ) Counts() (enq, deq int64) {
-	return atomic.LoadInt64(&q.totalEnq), atomic.LoadInt64(&q.totalDeq)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.totalEnq, q.totalDeq
 }
 
 // Peak returns the largest queue length observed — the DRAM footprint
 // high-water mark of §V-B2 (each node costs NodeBytes).
-func (q *DWQ) Peak() int { return int(atomic.LoadInt64(&q.peakLen)) }
+func (q *DWQ) Peak() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.peakLen
+}
 
 // NodeBytes is the DRAM cost of one queued node.
 const NodeBytes = 56 // ino + entry offset + enqueue timestamp + span context
@@ -279,27 +197,14 @@ const (
 	dwqRecordSize = 16               // ino u64, entryOff u64
 )
 
-// snapshot copies the live nodes of every shard and restores the global
-// enqueue order, so the on-PM format is the same single FIFO stream it was
-// before sharding.
-func (q *DWQ) snapshot() []Node {
-	var nodes []Node
-	for i := range q.shards {
-		sh := &q.shards[i]
-		sh.mu.Lock()
-		nodes = append(nodes, sh.items[sh.head:]...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].seq < nodes[j].seq })
-	return nodes
-}
-
 // Save persists the queue contents into the save area at off spanning the
 // given number of pages. Returns the number of nodes saved and whether the
 // area overflowed (remaining nodes dropped; the caller must raise the
 // superblock overflow flag so the next mount falls back to the flag scan).
 func (q *DWQ) Save(dev *pmem.Device, off int64, pages int64) (saved int, overflow bool) {
-	nodes := q.snapshot()
+	q.mu.Lock()
+	nodes := append([]Node(nil), q.items[q.head:]...)
+	q.mu.Unlock()
 	capacity := int(pages*pmem.PageSize-dwqHdrSize) / dwqRecordSize
 	if len(nodes) > capacity {
 		nodes = nodes[:capacity]

@@ -10,12 +10,12 @@ import (
 	"denova/internal/pmem"
 )
 
-// TestDWQPropertyAgainstModel drives the sharded queue with randomized
+// TestDWQPropertyAgainstModel drives the queue with randomized
 // Enqueue/DequeueBatch/Save/Restore sequences and checks it against a model
-// map: no node is ever lost or duplicated, per-inode FIFO order holds, Len
-// tracks the model exactly, and Save/Restore round-trips the outstanding
-// set — including the overflow path, which must persist exactly the oldest
-// capacity-many nodes in global enqueue order.
+// map: no node is ever lost or duplicated, nodes leave in global enqueue
+// order, Len tracks the model exactly, and Save/Restore round-trips the
+// outstanding set — including the overflow path, which must persist exactly
+// the oldest capacity-many nodes in global enqueue order.
 func TestDWQPropertyAgainstModel(t *testing.T) {
 	t.Parallel()
 	const seeds = 8
@@ -32,10 +32,10 @@ func TestDWQPropertyAgainstModel(t *testing.T) {
 			const savePages = 1 // capacity 255 → overflow is reachable
 			capacity := (savePages*pmem.PageSize - dwqHdrSize) / dwqRecordSize
 
-			q := NewDWQSharded(1 + rng.Intn(8))
-			model := make(map[uint64]uint64)   // entryOff (unique) -> ino
-			lastDeq := make(map[uint64]uint64) // ino -> last dequeued entryOff
-			var order []uint64                 // entryOffs in global enqueue order
+			q := NewDWQ()
+			model := make(map[uint64]uint64) // entryOff (unique) -> ino
+			var lastDeq uint64               // last dequeued entryOff
+			var order []uint64               // entryOffs in global enqueue order
 			nextOff := uint64(1)
 
 			for i := 0; i < iters; i++ {
@@ -56,10 +56,10 @@ func TestDWQPropertyAgainstModel(t *testing.T) {
 						if ino != n.Ino {
 							t.Fatalf("node %d delivered with ino %d, enqueued with %d", n.EntryOff, n.Ino, ino)
 						}
-						if last := lastDeq[n.Ino]; n.EntryOff <= last {
-							t.Fatalf("per-inode FIFO violated: ino %d entry %d after %d", n.Ino, n.EntryOff, last)
+						if n.EntryOff <= lastDeq {
+							t.Fatalf("FIFO violated: entry %d after %d", n.EntryOff, lastDeq)
 						}
-						lastDeq[n.Ino] = n.EntryOff
+						lastDeq = n.EntryOff
 						delete(model, n.EntryOff)
 					}
 				default: // save + restore into a fresh queue, swap it in
@@ -87,7 +87,7 @@ func TestDWQPropertyAgainstModel(t *testing.T) {
 					} else if saved != len(model) {
 						t.Fatalf("saved %d nodes, want %d", saved, len(model))
 					}
-					q2 := NewDWQSharded(1 + rng.Intn(8))
+					q2 := NewDWQ()
 					n, err := q2.Restore(dev, 0, savePages)
 					if err != nil {
 						t.Fatal(err)
@@ -96,8 +96,8 @@ func TestDWQPropertyAgainstModel(t *testing.T) {
 						t.Fatalf("restored %d nodes, saved %d", n, saved)
 					}
 					q = q2
-					// Restore re-stamps enqueue order from the snapshot (which
-					// is in global order), so per-inode FIFO keeps holding.
+					// The snapshot is in enqueue order and Restore enqueues
+					// it in that order, so FIFO order keeps holding.
 				}
 				if q.Len() != len(model) {
 					t.Fatalf("Len = %d, model holds %d", q.Len(), len(model))
@@ -119,7 +119,7 @@ func TestDWQPropertyAgainstModel(t *testing.T) {
 
 // TestDWQDoorbellNoLostWakeup is the regression test for the doorbell
 // semantics under multiple consumers: a worker must never sleep while a
-// nonempty shard has no pending doorbell. The pre-sharding queue used an
+// nonempty queue has no pending doorbell. An earlier queue used an
 // edge-triggered capacity-1 channel, so a burst of enqueues collapsed into
 // a single token; with several consumers parked and each taking only a
 // small batch per wakeup (exactly this loop), nodes were stranded in the
@@ -128,7 +128,7 @@ func TestDWQPropertyAgainstModel(t *testing.T) {
 // construction: Wait returns immediately while the queue is nonempty.
 func TestDWQDoorbellNoLostWakeup(t *testing.T) {
 	t.Parallel()
-	q := NewDWQSharded(4)
+	q := NewDWQ()
 	const total = 5000
 	const consumers = 4
 	var consumed int64
@@ -187,7 +187,7 @@ func TestDWQDoorbellNoLostWakeup(t *testing.T) {
 // consumer left asleep beside pending work.
 func TestDWQRingNoLostWakeup(t *testing.T) {
 	t.Parallel()
-	q := NewDWQSharded(2)
+	q := NewDWQ()
 	const total = 5000
 	var pending, consumed atomic.Int64
 	var stop atomic.Bool

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"denova/internal/nova"
+	"denova/internal/obs"
 )
 
 // TestTortureParallelDedup is the concurrency torture test for the
@@ -88,14 +89,14 @@ func TestTortureParallelDedup(t *testing.T) {
 					for p := 0; p < npages; p++ {
 						data = append(data, pages(seed)...)
 					}
-					_, err := r.fs.Write(in, uint64(pg)*nova.PageSize, data, nova.FlagNeeded)
+					_, err := r.fs.Write(in, uint64(pg)*nova.PageSize, data, nova.FlagNeeded, obs.SpanContext{})
 					if err != nil && !errors.Is(err, nova.ErrNoSpace) {
 						t.Errorf("writer %d: write: %v", w, err)
 						return
 					}
 				} else {
 					size := uint64(rng.Intn(maxPages*nova.PageSize + 1))
-					if err := r.fs.Truncate(in, size, nova.FlagNeeded); err != nil {
+					if err := r.fs.Truncate(in, size, nova.FlagNeeded, obs.SpanContext{}); err != nil {
 						t.Errorf("writer %d: truncate: %v", w, err)
 						return
 					}
@@ -130,7 +131,7 @@ func TestTortureParallelDedup(t *testing.T) {
 	for i, in := range inodes {
 		size := in.Size()
 		buf := make([]byte, size)
-		n, err := r.fs.Read(in, 0, buf)
+		n, err := r.fs.Read(in, 0, buf, obs.SpanContext{})
 		if err != nil {
 			t.Fatalf("file t%d: read: %v", i, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"denova/internal/nova"
+	"denova/internal/obs"
 )
 
 // The tests in this file drive ProcessEntry's unlocked window — after it has
@@ -110,7 +111,7 @@ func TestUnlockedHashOverwrite(t *testing.T) {
 	in := r.write(t, "b", pages(1, 2, 3))
 	node := nodeFor(t, r, "b")
 	inWindow(t, r, node, func() {
-		if _, err := r.fs.Write(in, ChunkSize, pages(1), nova.FlagNeeded); err != nil {
+		if _, err := r.fs.Write(in, ChunkSize, pages(1), nova.FlagNeeded, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 		if pins, limbo := r.fs.FreePins(); pins != 1 || limbo != 1 {
@@ -134,7 +135,7 @@ func TestUnlockedHashTruncate(t *testing.T) {
 	node := nodeFor(t, r, "b")
 	size := uint64(ChunkSize + 100)
 	inWindow(t, r, node, func() {
-		if err := r.fs.Truncate(in, size, nova.FlagNeeded); err != nil {
+		if err := r.fs.Truncate(in, size, nova.FlagNeeded, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -229,7 +230,7 @@ func TestUnlockedHashReclaimENOSPC(t *testing.T) {
 		if _, limbo := r.fs.FreePins(); limbo != 3 || r.fs.FreeBlocks() != 0 {
 			t.Fatalf("%d blocks in limbo, %d free; want 3 and 0", limbo, r.fs.FreeBlocks())
 		}
-		if _, err := r.fs.Write(in, 0, pages(4), nova.FlagNeeded); err != nil {
+		if _, err := r.fs.Write(in, 0, pages(4), nova.FlagNeeded, obs.SpanContext{}); err != nil {
 			t.Fatalf("write with the only free space in limbo: %v", err)
 		}
 	})

@@ -1,8 +1,7 @@
 package fact
 
 import (
-	"sync"
-
+	"denova/internal/par"
 	"denova/internal/pmem"
 )
 
@@ -62,31 +61,7 @@ func (s *RecoverStats) add(o RecoverStats) {
 
 // recoveryWorkers resolves the pool size for the recovery sweeps.
 func (t *Table) recoveryWorkers() int {
-	w := t.RecoveryWorkers
-	if w <= 0 {
-		w = 1
-	}
-	return w
-}
-
-// shardRanges splits [lo, hi) into at most w contiguous ascending ranges.
-func shardRanges(lo, hi int64, w int) [][2]int64 {
-	if hi <= lo {
-		return nil
-	}
-	if int64(w) > hi-lo {
-		w = int(hi - lo)
-	}
-	out := make([][2]int64, 0, w)
-	n := hi - lo
-	for i := 0; i < w; i++ {
-		s := lo + n*int64(i)/int64(w)
-		e := lo + n*int64(i+1)/int64(w)
-		if e > s {
-			out = append(out, [2]int64{s, e})
-		}
-	}
-	return out
+	return max(t.RecoveryWorkers, 1)
 }
 
 // RecoverStructure walks every chain, completing any interrupted reorder
@@ -104,22 +79,14 @@ func (t *Table) RecoverStructure() RecoverStats {
 		rs        RecoverStats
 		reachable map[uint64]bool
 	}
-	chainShards := make([]chainShard, 0, workers)
-	rngs := shardRanges(0, t.daa, workers)
-	var wg sync.WaitGroup
-	for range rngs {
-		chainShards = append(chainShards, chainShard{reachable: make(map[uint64]bool)})
-	}
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(sh *chainShard, lo, hi int64) {
-			defer wg.Done()
-			for p := uint64(lo); int64(p) < hi; p++ {
-				t.recoverChain(p, sh.reachable, &sh.rs)
-			}
-		}(&chainShards[w], r[0], r[1])
-	}
-	wg.Wait()
+	chainShards := make([]chainShard, workers)
+	par.Ranges(0, t.daa, workers, func(w int, lo, hi int64) {
+		sh := &chainShards[w]
+		sh.reachable = make(map[uint64]bool)
+		for p := uint64(lo); int64(p) < hi; p++ {
+			t.recoverChain(p, sh.reachable, &sh.rs)
+		}
+	})
 	reachable := make(map[uint64]bool)
 	for i := range chainShards {
 		rs.add(chainShards[i].rs)
@@ -138,25 +105,20 @@ func (t *Table) RecoverStructure() RecoverStats {
 		free    []uint64
 	}
 	iaaShards := make([]iaaShard, workers)
-	rngs = shardRanges(t.daa, t.total, workers)
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(sh *iaaShard, lo, hi int64) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				idx := uint64(i)
-				if reachable[idx] {
-					continue
-				}
-				if t.EntryAt(idx).occupied() {
-					t.clearSlot(idx)
-					sh.cleared++
-				}
-				sh.free = append(sh.free, idx)
+	par.Ranges(t.daa, t.total, workers, func(w int, lo, hi int64) {
+		sh := &iaaShards[w]
+		for i := lo; i < hi; i++ {
+			idx := uint64(i)
+			if reachable[idx] {
+				continue
 			}
-		}(&iaaShards[w], r[0], r[1])
-	}
-	wg.Wait()
+			if t.EntryAt(idx).occupied() {
+				t.clearSlot(idx)
+				sh.cleared++
+			}
+			sh.free = append(sh.free, idx)
+		}
+	})
 	t.iamu.Lock()
 	t.iaaFree = t.iaaFree[:0]
 	for i := range iaaShards {
@@ -232,22 +194,15 @@ func (t *Table) fixDeletePointers() int {
 	workers := t.recoveryWorkers()
 
 	wantShards := make([]map[uint64]uint64, workers)
-	rngs := shardRanges(0, t.total, workers)
-	var wg sync.WaitGroup
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			want := make(map[uint64]uint64)
-			for i := lo; i < hi; i++ {
-				if e := t.EntryAt(uint64(i)); e.occupied() {
-					want[t.relBlock(e.Block)] = e.Idx
-				}
+	par.Ranges(0, t.total, workers, func(w int, lo, hi int64) {
+		want := make(map[uint64]uint64)
+		for i := lo; i < hi; i++ {
+			if e := t.EntryAt(uint64(i)); e.occupied() {
+				want[t.relBlock(e.Block)] = e.Idx
 			}
-			wantShards[w] = want
-		}(w, r[0], r[1])
-	}
-	wg.Wait()
+		}
+		wantShards[w] = want
+	})
 	want := make(map[uint64]uint64) // relBlock -> entry idx
 	for _, sh := range wantShards {
 		for k, v := range sh {
@@ -256,26 +211,20 @@ func (t *Table) fixDeletePointers() int {
 	}
 
 	fixedBy := make([]int, workers)
-	rngs = shardRanges(0, t.numData, workers)
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				slotOff := t.entryOff(uint64(r)) + feDelPtr
-				cur := t.dev.Load64(slotOff)
-				wv, ok := want[uint64(r)]
-				if !ok {
-					wv = None
-				}
-				if cur != wv {
-					t.dev.PersistStore64(slotOff, wv)
-					fixedBy[w]++
-				}
+	par.Ranges(0, t.numData, workers, func(w int, lo, hi int64) {
+		for r := lo; r < hi; r++ {
+			slotOff := t.entryOff(uint64(r)) + feDelPtr
+			cur := t.dev.Load64(slotOff)
+			wv, ok := want[uint64(r)]
+			if !ok {
+				wv = None
 			}
-		}(w, r[0], r[1])
-	}
-	wg.Wait()
+			if cur != wv {
+				t.dev.PersistStore64(slotOff, wv)
+				fixedBy[w]++
+			}
+		}
+	})
 	fixed := 0
 	for _, n := range fixedBy {
 		fixed += n
@@ -300,29 +249,23 @@ func (t *Table) ZeroAllUC() RecoverStats {
 		drops     []uint64
 	}
 	shards := make([]ucShard, workers)
-	rngs := shardRanges(0, t.total, workers)
-	var wg sync.WaitGroup
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(sh *ucShard, lo, hi int64) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				idx := uint64(i)
-				w := t.dev.Load64(t.entryOff(idx) + feCounts)
-				rfc, uc := uint32(w), uint32(w>>32)
-				if uc == 0 {
-					continue
-				}
-				sh.discarded++
-				if rfc == 0 {
-					sh.drops = append(sh.drops, idx)
-					continue
-				}
-				t.dev.PersistStore64(t.entryOff(idx)+feCounts, uint64(rfc))
+	par.Ranges(0, t.total, workers, func(w int, lo, hi int64) {
+		sh := &shards[w]
+		for i := lo; i < hi; i++ {
+			idx := uint64(i)
+			cw := t.dev.Load64(t.entryOff(idx) + feCounts)
+			rfc, uc := uint32(cw), uint32(cw>>32)
+			if uc == 0 {
+				continue
 			}
-		}(&shards[w], r[0], r[1])
-	}
-	wg.Wait()
+			sh.discarded++
+			if rfc == 0 {
+				sh.drops = append(sh.drops, idx)
+				continue
+			}
+			t.dev.PersistStore64(t.entryOff(idx)+feCounts, uint64(rfc))
+		}
+	})
 	for i := range shards {
 		rs.UCsDiscarded += shards[i].discarded
 		for _, idx := range shards[i].drops {
@@ -348,27 +291,20 @@ func (t *Table) Scrub(inUse func(block uint64) bool) (RecoverStats, []uint64) {
 		idx, block uint64
 	}
 	candShards := make([][]cand, workers)
-	rngs := shardRanges(0, t.total, workers)
-	var wg sync.WaitGroup
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				e := t.EntryAt(uint64(i))
-				if !e.occupied() || e.UC > 0 {
-					// Empty, or an open transaction is about to reference
-					// this block; the next scrub pass will catch it if the
-					// transaction dies.
-					continue
-				}
-				if !inUse(e.Block) {
-					candShards[w] = append(candShards[w], cand{e.Idx, e.Block})
-				}
+	par.Ranges(0, t.total, workers, func(w int, lo, hi int64) {
+		for i := lo; i < hi; i++ {
+			e := t.EntryAt(uint64(i))
+			if !e.occupied() || e.UC > 0 {
+				// Empty, or an open transaction is about to reference
+				// this block; the next scrub pass will catch it if the
+				// transaction dies.
+				continue
 			}
-		}(w, r[0], r[1])
-	}
-	wg.Wait()
+			if !inUse(e.Block) {
+				candShards[w] = append(candShards[w], cand{e.Idx, e.Block})
+			}
+		}
+	})
 
 	var dropped []uint64
 	for _, sh := range candShards {

@@ -23,8 +23,6 @@ type FSConfig struct {
 	// N and M parameterize DENOVA-Delayed(n, m).
 	N time.Duration
 	M int
-	// DisableReorder turns off FACT chain reordering (ablation).
-	DisableReorder bool
 	// ScrubEvery forwards to the daemon (0 = no background scrubbing).
 	ScrubEvery int
 }
@@ -47,11 +45,10 @@ func (c FSConfig) Label() string {
 
 func (c FSConfig) denovaConfig() denova.Config {
 	return denova.Config{
-		Mode:           c.Mode,
-		DelayInterval:  c.N,
-		DelayBatch:     c.M,
-		DisableReorder: c.DisableReorder,
-		ScrubEvery:     c.ScrubEvery,
+		Mode:          c.Mode,
+		DelayInterval: c.N,
+		DelayBatch:    c.M,
+		ScrubEvery:    c.ScrubEvery,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"denova/internal/dedup"
 	"denova/internal/fact"
 	"denova/internal/nova"
+	"denova/internal/obs"
 	"denova/internal/pmem"
 	"denova/internal/workload"
 )
@@ -79,7 +80,7 @@ func MeasureWorkerScaling(workerCounts []int, spec ScalingSpec) ([]WorkerScaling
 			data := gen.FileData(i)
 			for pg := 0; pg < spec.PagesPerFile; pg++ {
 				off := uint64(pg) * pmem.PageSize
-				if _, err := fs.Write(in, off, data[off:off+pmem.PageSize], nova.FlagNeeded); err != nil {
+				if _, err := fs.Write(in, off, data[off:off+pmem.PageSize], nova.FlagNeeded, obs.SpanContext{}); err != nil {
 					return nil, err
 				}
 			}

@@ -59,7 +59,7 @@ func TestTracingOffOverheadGate(t *testing.T) {
 		}
 		start := time.Now()
 		for i := 0; i < pages; i++ {
-			if _, err := nfs.Write(in, uint64(i%256)*4096, data, nova.FlagNone); err != nil {
+			if _, err := nfs.Write(in, uint64(i%256)*4096, data, nova.FlagNone, obs.SpanContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"denova/internal/obs"
 	"denova/internal/pmem"
 )
 
@@ -23,7 +24,7 @@ func TestMkdirAndNestedCreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Write(in, 0, data, FlagNone); err != nil {
+	if _, err := fs.Write(in, 0, data, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := fs.Lookup("a/b/file")
@@ -140,7 +141,7 @@ func TestDeepTreeSurvivesRemount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs.Write(in, 0, patternData(64, byte(d)), FlagNone)
+		fs.Write(in, 0, patternData(64, byte(d)), FlagNone, obs.SpanContext{})
 	}
 	fs.Unmount()
 	fs2, _, err := Mount(dev)
@@ -172,7 +173,7 @@ func TestDeepTreeSurvivesCrash(t *testing.T) {
 	fs.Mkdir("x")
 	fs.Mkdir("x/y")
 	in, _ := fs.Create("x/y/f")
-	fs.Write(in, 0, patternData(200, 9), FlagNone)
+	fs.Write(in, 0, patternData(200, 9), FlagNone, obs.SpanContext{})
 	img := dev.CrashImage(pmem.CrashDropDirty, 0)
 	fs2, _, err := Mount(img)
 	if err != nil {
@@ -256,7 +257,7 @@ func TestManyDirsManyFiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs.Write(in, 0, patternData(64, byte(d*16+f)), FlagNone)
+			fs.Write(in, 0, patternData(64, byte(d*16+f)), FlagNone, obs.SpanContext{})
 		}
 	}
 	names, _ := fs.NamesAt("dir7")

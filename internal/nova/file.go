@@ -14,15 +14,10 @@ import (
 // current content) and goes through commitExtentsLocked's five steps.
 // flag is the initial dedupe-flag of the entry (FlagNone on plain NOVA,
 // FlagNeeded when deduplication is enabled). It returns the device offset
-// of the committed write entry.
-func (fs *FS) Write(in *Inode, off uint64, data []byte, flag uint8) (uint64, error) {
-	return fs.WriteCtx(in, off, data, flag, obs.SpanContext{})
-}
-
-// WriteCtx is Write carrying the caller's span context: the write becomes
-// a child span (or a fresh root for untraced callers) and its five steps
-// become grandchildren at the fine trace level.
-func (fs *FS) WriteCtx(in *Inode, off uint64, data []byte, flag uint8, sc obs.SpanContext) (uint64, error) {
+// of the committed write entry. sc is the caller's span context: the write
+// becomes a child span (a fresh root when sc is zero, i.e. untraced) and its
+// five steps become grandchildren at the fine trace level.
+func (fs *FS) Write(in *Inode, off uint64, data []byte, flag uint8, sc obs.SpanContext) (uint64, error) {
 	if len(data) == 0 {
 		return 0, nil
 	}
@@ -250,13 +245,9 @@ func (fs *FS) readPageInto(in *Inode, pg uint64, dst []byte) {
 // of holes return zeros. Concurrent readers are admitted (read lock); the
 // read path touches neither FACT nor the DWQ (§V-B4). Pages staged in DRAM
 // and not yet relinked overlay the radix tree, so the fast write path is
-// read-your-writes without the inode write lock.
-func (fs *FS) Read(in *Inode, off uint64, buf []byte) (int, error) {
-	return fs.ReadCtx(in, off, buf, obs.SpanContext{})
-}
-
-// ReadCtx is Read carrying the caller's span context.
-func (fs *FS) ReadCtx(in *Inode, off uint64, buf []byte, sc obs.SpanContext) (int, error) {
+// read-your-writes without the inode write lock. sc is the caller's span
+// context (zero = untraced).
+func (fs *FS) Read(in *Inode, off uint64, buf []byte, sc obs.SpanContext) (int, error) {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	if in.dir {

@@ -67,19 +67,12 @@ type FS struct {
 	relinkPages    int64 // pages made durable by relinks
 }
 
-// Option configures Mkfs/Mount.
+// Option configures Mount.
 type Option func(*FS)
 
-// WithReleaser installs the block releaser consulted before data pages are
-// reclaimed.
-func WithReleaser(r BlockReleaser) Option { return func(fs *FS) { fs.SetReleaser(r) } }
-
-// WithWriteHook installs the post-commit write hook.
-func WithWriteHook(h WriteHook) Option { return func(fs *FS) { fs.onWrite = h } }
-
-// SetReleaser installs the block releaser after construction (the dedup
-// engine is built on top of a mounted FS, so it cannot be passed as a
-// Mkfs/Mount option).
+// SetReleaser installs the block releaser consulted before data pages are
+// reclaimed (the dedup engine is built on top of a mounted FS, so it is
+// installed after construction).
 func (fs *FS) SetReleaser(r BlockReleaser) { fs.releaser, fs.freeFn = r, fs.freeBlock }
 
 // SetWriteHook installs the post-commit write hook after construction.
@@ -88,7 +81,7 @@ func (fs *FS) SetWriteHook(h WriteHook) { fs.onWrite = h }
 // Mkfs formats the device with the given maximum inode count and returns a
 // mounted file system. Previous contents are ignored; the regions holding
 // persistent metadata are zeroed.
-func Mkfs(dev *pmem.Device, maxInodes int64, opts ...Option) (*FS, error) {
+func Mkfs(dev *pmem.Device, maxInodes int64) (*FS, error) {
 	g, err := ComputeGeometry(dev.Size(), maxInodes)
 	if err != nil {
 		return nil, err
@@ -109,9 +102,6 @@ func Mkfs(dev *pmem.Device, maxInodes int64, opts ...Option) (*FS, error) {
 		alloc:  NewAllocator(g.DataStartBlock, g.NumDataBlocks, allocShards()),
 		inodes: make(map[uint64]*Inode),
 		inUse:  make([]bool, maxInodes),
-	}
-	for _, o := range opts {
-		o(fs)
 	}
 	fs.inUse[0] = true // ino 0 is never used
 	// Create the root directory.

@@ -22,12 +22,12 @@ func buildSparseLog(t testing.TB, fs *FS, keepers int) (*Inode, [][]byte) {
 	current := make([][]byte, keepers+1)
 	for pg := 1; pg <= keepers; pg++ {
 		current[pg] = patternData(PageSize, byte(pg))
-		if _, err := fs.Write(in, uint64(pg)*PageSize, current[pg], FlagNone); err != nil {
+		if _, err := fs.Write(in, uint64(pg)*PageSize, current[pg], FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 		for c := 0; c < 5; c++ {
 			current[0] = patternData(PageSize, byte(pg+c+100))
-			if _, err := fs.Write(in, 0, current[0], FlagNone); err != nil {
+			if _, err := fs.Write(in, 0, current[0], FlagNone, obs.SpanContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -118,16 +118,16 @@ func TestThoroughGCPreservesSizeFromTrailingHole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Write(in, 0, patternData(PageSize, 1), FlagNone); err != nil {
+	if _, err := fs.Write(in, 0, patternData(PageSize, 1), FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	const holeSize = 50 * PageSize
-	if err := fs.Truncate(in, holeSize, FlagNone); err != nil {
+	if err := fs.Truncate(in, holeSize, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	// Churn page 0 enough to trigger thorough GC.
 	for i := 0; i < 6*EntriesPerLogPage; i++ {
-		if _, err := fs.Write(in, PageSize, patternData(PageSize, byte(i)), FlagNone); err != nil {
+		if _, err := fs.Write(in, PageSize, patternData(PageSize, byte(i)), FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestThoroughGCCrashSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pg := 0; pg < 40; pg++ {
-			fs.Write(in, uint64(pg)*PageSize, patternData(PageSize, byte(pg)), FlagNone)
+			fs.Write(in, uint64(pg)*PageSize, patternData(PageSize, byte(pg)), FlagNone, obs.SpanContext{})
 		}
 		// Kill most entries but keep one long-lived mapping per stride.
 		for r := 0; r < 2; r++ {
@@ -164,7 +164,7 @@ func TestThoroughGCCrashSweep(t *testing.T) {
 				if pg%8 == 0 {
 					continue
 				}
-				fs.Write(in, uint64(pg)*PageSize, patternData(PageSize, byte(pg+50)), FlagNone)
+				fs.Write(in, uint64(pg)*PageSize, patternData(PageSize, byte(pg+50)), FlagNone, obs.SpanContext{})
 			}
 		}
 		fs.Unmount()
@@ -229,18 +229,19 @@ func TestThoroughGCReenqueuesDedupeNeeded(t *testing.T) {
 	t.Parallel()
 	var enqueued []uint64
 	dev := pmem.New(testDevSize, pmem.ProfileZero)
-	fs, err := Mkfs(dev, 64, WithWriteHook(func(in *Inode, off uint64, _ obs.SpanContext) {
-		enqueued = append(enqueued, off)
-	}))
+	fs, err := Mkfs(dev, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs.SetWriteHook(func(in *Inode, off uint64, _ obs.SpanContext) {
+		enqueued = append(enqueued, off)
+	})
 	in, _ := fs.Create("f")
 	// A long-lived entry still awaiting dedup…
-	fs.Write(in, 0, patternData(PageSize, 1), FlagNeeded)
+	fs.Write(in, 0, patternData(PageSize, 1), FlagNeeded, obs.SpanContext{})
 	// …buried under churn that triggers compaction.
 	for i := 0; i < 6*EntriesPerLogPage; i++ {
-		fs.Write(in, PageSize, patternData(PageSize, byte(i)), FlagNone)
+		fs.Write(in, PageSize, patternData(PageSize, byte(i)), FlagNone, obs.SpanContext{})
 	}
 	before := len(enqueued)
 	n := fs.ForceThoroughGC(in)
@@ -268,14 +269,14 @@ func TestFastGCVsThoroughInterplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pg := 0; pg < 50; pg++ {
-			fs.Write(in, uint64(pg)*PageSize, patternData(64, byte(pg)), FlagNone)
+			fs.Write(in, uint64(pg)*PageSize, patternData(64, byte(pg)), FlagNone, obs.SpanContext{})
 		}
 		for r := 0; r < 4; r++ {
 			for pg := 0; pg < 50; pg++ {
 				if pg%7 == 0 {
 					continue
 				}
-				fs.Write(in, uint64(pg)*PageSize, patternData(64, byte(pg+r)), FlagNone)
+				fs.Write(in, uint64(pg)*PageSize, patternData(64, byte(pg+r)), FlagNone, obs.SpanContext{})
 			}
 		}
 	}

@@ -14,10 +14,10 @@ import (
 
 const testDevSize = 64 << 20 // 64 MB
 
-func mkfsT(t *testing.T, opts ...Option) (*pmem.Device, *FS) {
+func mkfsT(t *testing.T) (*pmem.Device, *FS) {
 	t.Helper()
 	dev := pmem.New(testDevSize, pmem.ProfileZero)
-	fs, err := Mkfs(dev, 1024, opts...)
+	fs, err := Mkfs(dev, 1024)
 	if err != nil {
 		t.Fatalf("Mkfs: %v", err)
 	}
@@ -30,7 +30,7 @@ func writeFileT(t *testing.T, fs *FS, name string, data []byte) *Inode {
 	if err != nil {
 		t.Fatalf("Create(%q): %v", name, err)
 	}
-	if _, err := fs.Write(in, 0, data, FlagNone); err != nil {
+	if _, err := fs.Write(in, 0, data, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatalf("Write(%q): %v", name, err)
 	}
 	return in
@@ -39,7 +39,7 @@ func writeFileT(t *testing.T, fs *FS, name string, data []byte) *Inode {
 func readFileT(t testing.TB, fs *FS, in *Inode, off uint64, n int) []byte {
 	t.Helper()
 	buf := make([]byte, n)
-	got, err := fs.Read(in, off, buf)
+	got, err := fs.Read(in, off, buf, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -407,7 +407,7 @@ func TestSparseFileHolesReadZero(t *testing.T) {
 	t.Parallel()
 	_, fs := mkfsT(t)
 	in, _ := fs.Create("sparse")
-	if _, err := fs.Write(in, 3*PageSize, []byte("end"), FlagNone); err != nil {
+	if _, err := fs.Write(in, 3*PageSize, []byte("end"), FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	got := readFileT(t, fs, in, 0, 3*PageSize+3)
@@ -428,7 +428,7 @@ func TestOverwriteCoWReclaimsBlocks(t *testing.T) {
 	in := writeFileT(t, fs, "f", patternData(2*PageSize, 1))
 	used := free0 - fs.FreeBlocks() // 2 data + maybe log page growth
 	for i := 0; i < 10; i++ {
-		if _, err := fs.Write(in, 0, patternData(2*PageSize, byte(i)), FlagNone); err != nil {
+		if _, err := fs.Write(in, 0, patternData(2*PageSize, byte(i)), FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -447,7 +447,7 @@ func TestPartialPageOverwritePreservesNeighbours(t *testing.T) {
 	_, fs := mkfsT(t)
 	base := patternData(PageSize, 1)
 	in := writeFileT(t, fs, "f", base)
-	if _, err := fs.Write(in, 100, []byte("XYZ"), FlagNone); err != nil {
+	if _, err := fs.Write(in, 100, []byte("XYZ"), FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]byte{}, base...)
@@ -462,7 +462,7 @@ func TestUnalignedWriteSpanningPages(t *testing.T) {
 	_, fs := mkfsT(t)
 	in := writeFileT(t, fs, "f", patternData(3*PageSize, 1))
 	patch := patternData(PageSize, 200)
-	if _, err := fs.Write(in, uint64(PageSize/2), patch, FlagNone); err != nil {
+	if _, err := fs.Write(in, uint64(PageSize/2), patch, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	want := patternData(3*PageSize, 1)
@@ -476,7 +476,7 @@ func TestWriteEmptyIsNoop(t *testing.T) {
 	t.Parallel()
 	_, fs := mkfsT(t)
 	in, _ := fs.Create("f")
-	off, err := fs.Write(in, 0, nil, FlagNone)
+	off, err := fs.Write(in, 0, nil, FlagNone, obs.SpanContext{})
 	if err != nil || off != 0 {
 		t.Fatalf("empty write: off=%d err=%v", off, err)
 	}
@@ -488,10 +488,10 @@ func TestWriteEmptyIsNoop(t *testing.T) {
 func TestWriteToDirectoryFails(t *testing.T) {
 	t.Parallel()
 	_, fs := mkfsT(t)
-	if _, err := fs.Write(fs.Root(), 0, []byte("x"), FlagNone); err == nil {
+	if _, err := fs.Write(fs.Root(), 0, []byte("x"), FlagNone, obs.SpanContext{}); err == nil {
 		t.Fatal("writing a directory succeeded")
 	}
-	if _, err := fs.Read(fs.Root(), 0, make([]byte, 8)); err == nil {
+	if _, err := fs.Read(fs.Root(), 0, make([]byte, 8), obs.SpanContext{}); err == nil {
 		t.Fatal("reading a directory succeeded")
 	}
 }
@@ -583,7 +583,7 @@ func TestManyFiles(t *testing.T) {
 func TestOutOfInodes(t *testing.T) {
 	t.Parallel()
 	dev := pmem.New(testDevSize, pmem.ProfileZero)
-	fs, err := Mkfs(dev, 4, nil...)
+	fs, err := Mkfs(dev, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +603,7 @@ func TestLogGrowsAcrossPages(t *testing.T) {
 	// More writes than one log page holds (63 entries), all to distinct
 	// pages so no entry dies.
 	for i := 0; i < 2*EntriesPerLogPage; i++ {
-		if _, err := fs.Write(in, uint64(i)*PageSize, []byte{byte(i)}, FlagNone); err != nil {
+		if _, err := fs.Write(in, uint64(i)*PageSize, []byte{byte(i)}, FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -625,7 +625,7 @@ func TestFastGCReclaimsDeadLogPages(t *testing.T) {
 	// Overwrite the same page many times: old entries die; whole log pages
 	// of dead entries must be reclaimed.
 	for i := 0; i < 10*EntriesPerLogPage; i++ {
-		if _, err := fs.Write(in, 0, []byte{byte(i)}, FlagNone); err != nil {
+		if _, err := fs.Write(in, 0, []byte{byte(i)}, FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -646,7 +646,7 @@ func TestGCSurvivesRemount(t *testing.T) {
 	dev, fs := mkfsT(t)
 	in, _ := fs.Create("f")
 	for i := 0; i < 5*EntriesPerLogPage; i++ {
-		fs.Write(in, 0, []byte{byte(i)}, FlagNone)
+		fs.Write(in, 0, []byte{byte(i)}, FlagNone, obs.SpanContext{})
 	}
 	fs.Unmount()
 	fs2, _, err := Mount(dev)
@@ -731,7 +731,7 @@ func TestCrashFreeSpaceAccounting(t *testing.T) {
 	writeFileT(t, fs, "keep", patternData(3*PageSize, 1))
 	in, _ := fs.Lookup("keep")
 	for i := 0; i < 5; i++ { // shadowed blocks must be recovered as free
-		fs.Write(in, 0, patternData(3*PageSize, byte(i)), FlagNone)
+		fs.Write(in, 0, patternData(3*PageSize, byte(i)), FlagNone, obs.SpanContext{})
 	}
 	free := fs.FreeBlocks()
 	img := dev.CrashImage(pmem.CrashDropDirty, 0)
@@ -778,7 +778,7 @@ func TestRecoverySweepCreate(t *testing.T) {
 		crashed := pmem.RunToCrash(func() {
 			in, err := fsW.Create("new")
 			if err == nil {
-				fsW.Write(in, 0, patternData(PageSize+10, 4), FlagNone)
+				fsW.Write(in, 0, patternData(PageSize+10, 4), FlagNone, obs.SpanContext{})
 			}
 		})
 		_ = crashed
@@ -879,7 +879,7 @@ func TestConcurrentWritersDistinctFiles(t *testing.T) {
 				return
 			}
 			for i := 0; i < 50; i++ {
-				if _, err := fs.Write(in, uint64(i)*64, patternData(64, byte(w)), FlagNone); err != nil {
+				if _, err := fs.Write(in, uint64(i)*64, patternData(64, byte(w)), FlagNone, obs.SpanContext{}); err != nil {
 					errs <- err
 					return
 				}
@@ -914,7 +914,7 @@ func TestConcurrentReadersSameFile(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				buf := make([]byte, len(data))
-				n, err := fs.Read(in, 0, buf)
+				n, err := fs.Read(in, 0, buf, obs.SpanContext{})
 				if err != nil || n != len(data) || !bytes.Equal(buf, data) {
 					t.Errorf("concurrent read mismatch")
 					return
@@ -940,7 +940,7 @@ func TestConcurrentCreateDelete(t *testing.T) {
 					t.Errorf("create: %v", err)
 					return
 				}
-				fs.Write(in, 0, []byte("data"), FlagNone)
+				fs.Write(in, 0, []byte("data"), FlagNone, obs.SpanContext{})
 				if err := fs.Delete(name); err != nil {
 					t.Errorf("delete: %v", err)
 					return
@@ -961,14 +961,15 @@ func TestWriteHookFires(t *testing.T) {
 	var mu sync.Mutex
 	var hooks []uint64
 	dev := pmem.New(testDevSize, pmem.ProfileZero)
-	fs, err := Mkfs(dev, 64, WithWriteHook(func(in *Inode, off uint64, _ obs.SpanContext) {
-		mu.Lock()
-		hooks = append(hooks, off)
-		mu.Unlock()
-	}))
+	fs, err := Mkfs(dev, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs.SetWriteHook(func(in *Inode, off uint64, _ obs.SpanContext) {
+		mu.Lock()
+		hooks = append(hooks, off)
+		mu.Unlock()
+	})
 	writeFileT(t, fs, "f", patternData(100, 1))
 	if len(hooks) != 1 {
 		t.Fatalf("hook fired %d times, want 1", len(hooks))
@@ -989,16 +990,17 @@ func TestReleaserVetoKeepsBlock(t *testing.T) {
 	t.Parallel()
 	dr := &denyReleaser{denied: map[uint64]bool{}}
 	dev := pmem.New(testDevSize, pmem.ProfileZero)
-	fs, err := Mkfs(dev, 64, WithReleaser(dr))
+	fs, err := Mkfs(dev, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs.SetReleaser(dr)
 	in, _ := fs.Create("f")
-	fs.Write(in, 0, patternData(PageSize, 1), FlagNone)
+	fs.Write(in, 0, patternData(PageSize, 1), FlagNone, obs.SpanContext{})
 	block, _, _ := in.Mapping(0)
 	dr.denied[block] = true
 	free := fs.FreeBlocks()
-	fs.Write(in, 0, patternData(PageSize, 2), FlagNone) // shadows denied block
+	fs.Write(in, 0, patternData(PageSize, 2), FlagNone, obs.SpanContext{}) // shadows denied block
 	// One page was allocated, none freed (the shadowed one was vetoed).
 	if fs.FreeBlocks() != free-1 {
 		t.Fatalf("free accounting with veto: %d -> %d", free, fs.FreeBlocks())
@@ -1040,7 +1042,7 @@ func TestPropertyFSMatchesModel(t *testing.T) {
 				off := rng.Intn(3 * PageSize)
 				n := rng.Intn(2*PageSize) + 1
 				data := patternData(n, byte(rng.Intn(256)))
-				if _, err := fs.Write(in, uint64(off), data, FlagNone); err != nil {
+				if _, err := fs.Write(in, uint64(off), data, FlagNone, obs.SpanContext{}); err != nil {
 					return false
 				}
 				m := model[name]
@@ -1058,7 +1060,7 @@ func TestPropertyFSMatchesModel(t *testing.T) {
 				}
 				m := model[name]
 				buf := make([]byte, len(m)+64)
-				n, err := fs.Read(in, 0, buf)
+				n, err := fs.Read(in, 0, buf, obs.SpanContext{})
 				if err != nil {
 					return false
 				}
@@ -1108,14 +1110,14 @@ func TestLogPageBoundaryExactFill(t *testing.T) {
 	_, fs := mkfsT(t)
 	in, _ := fs.Create("f")
 	for i := 0; i < EntriesPerLogPage; i++ {
-		if _, err := fs.Write(in, uint64(i)*PageSize, []byte{byte(i)}, FlagNone); err != nil {
+		if _, err := fs.Write(in, uint64(i)*PageSize, []byte{byte(i)}, FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := in.LogPageCount(); n != 1 {
 		t.Fatalf("pages after exact fill = %d, want 1", n)
 	}
-	if _, err := fs.Write(in, uint64(EntriesPerLogPage)*PageSize, []byte{0xFF}, FlagNone); err != nil {
+	if _, err := fs.Write(in, uint64(EntriesPerLogPage)*PageSize, []byte{0xFF}, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := in.LogPageCount(); n != 2 {
@@ -1143,7 +1145,7 @@ func TestRemountAtLogPageBoundary(t *testing.T) {
 	dev, fs := mkfsT(t)
 	in, _ := fs.Create("f")
 	for i := 0; i < EntriesPerLogPage; i++ {
-		fs.Write(in, uint64(i)*PageSize, []byte{byte(i)}, FlagNone)
+		fs.Write(in, uint64(i)*PageSize, []byte{byte(i)}, FlagNone, obs.SpanContext{})
 	}
 	img := dev.CrashImage(pmem.CrashDropDirty, 0)
 	fs2, _, err := Mount(img)
@@ -1174,7 +1176,7 @@ func TestWriteEntrySeqMonotoneAcrossRemount(t *testing.T) {
 		t.Fatal(err)
 	}
 	in2, _ := fs2.Lookup("f")
-	fs2.Write(in2, 0, patternData(64, 2), FlagNone)
+	fs2.Write(in2, 0, patternData(64, 2), FlagNone, obs.SpanContext{})
 	_, off2, _ := in2.Mapping(0)
 	we2, err := ReadWriteEntry(dev, off2)
 	if err != nil {
@@ -1190,7 +1192,7 @@ func TestInodeTimesRecoveredFromLog(t *testing.T) {
 	dev, fs := mkfsT(t)
 	in := writeFileT(t, fs, "f", patternData(64, 1))
 	_, mt1 := in.Times()
-	fs.Write(in, 0, patternData(64, 2), FlagNone)
+	fs.Write(in, 0, patternData(64, 2), FlagNone, obs.SpanContext{})
 	_, mt2 := in.Times()
 	if mt2 <= mt1 {
 		t.Fatalf("mtime not advancing: %d then %d", mt1, mt2)

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"denova/internal/obs"
 )
 
 // freeAll is a releaser that frees every block it is handed.
@@ -31,11 +33,10 @@ func TestReclaimDeferralRules(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			var opts []Option
+			_, fs := mkfsT(t)
 			if tc.releaser {
-				opts = append(opts, WithReleaser(freeAll()))
+				fs.SetReleaser(freeAll())
 			}
-			_, fs := mkfsT(t, opts...)
 			writeFileT(t, fs, "f", patternData(tc.pages*PageSize, 1))
 			var rung atomic.Int64
 			if tc.ring {
@@ -72,7 +73,8 @@ func TestReclaimDeferralRules(t *testing.T) {
 // allocation drains the queue before it reports ErrNoSpace.
 func TestDeferredReclaimENOSPC(t *testing.T) {
 	t.Parallel()
-	_, fs := mkfsT(t, WithReleaser(freeAll()))
+	_, fs := mkfsT(t)
+	fs.SetReleaser(freeAll())
 	in := writeFileT(t, fs, "f", patternData(8*PageSize, 1))
 	held := make(map[uint64]bool) // blocks the test keeps, for fsck
 	for {
@@ -83,14 +85,14 @@ func TestDeferredReclaimENOSPC(t *testing.T) {
 		held[b] = true
 	}
 	fs.DeferReclaim(func() {})
-	if err := fs.Truncate(in, 0, FlagNone); err != nil {
+	if err := fs.Truncate(in, 0, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if q, free := fs.ReclaimQueued(), fs.FreeBlocks(); q != 8 || free != 0 {
 		t.Fatalf("%d blocks queued, %d free; want 8 and 0", q, free)
 	}
 	page := patternData(PageSize, 2)
-	if _, err := fs.Write(in, 0, page, FlagNone); err != nil {
+	if _, err := fs.Write(in, 0, page, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatalf("write with the only free space queued: %v", err)
 	}
 	if _, err := fs.Create("g"); err != nil {
@@ -113,7 +115,7 @@ func TestDeferredReclaimENOSPC(t *testing.T) {
 		}
 		held[b] = true
 	}
-	if _, err := fs.Write(in, PageSize, page, FlagNone); !errors.Is(err, ErrNoSpace) {
+	if _, err := fs.Write(in, PageSize, page, FlagNone, obs.SpanContext{}); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("write on a full device with an empty queue: err = %v, want ErrNoSpace", err)
 	}
 }
@@ -123,7 +125,8 @@ func TestDeferredReclaimENOSPC(t *testing.T) {
 // held and breaks those pins, so they read nothing more.
 func TestPinnedReclaimENOSPC(t *testing.T) {
 	t.Parallel()
-	_, fs := mkfsT(t, WithReleaser(freeAll()))
+	_, fs := mkfsT(t)
+	fs.SetReleaser(freeAll())
 	in := writeFileT(t, fs, "f", patternData(8*PageSize, 1))
 	block, _, _ := in.Mapping(0)
 	held := make(map[uint64]bool)
@@ -138,7 +141,7 @@ func TestPinnedReclaimENOSPC(t *testing.T) {
 	pin := fs.PinFrees()
 	in.mu.Unlock()
 	defer pin.Release()
-	if err := fs.Truncate(in, 0, FlagNone); err != nil {
+	if err := fs.Truncate(in, 0, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if pins, limbo := fs.FreePins(); pins != 1 || limbo != 8 || fs.FreeBlocks() != 0 {
@@ -149,7 +152,7 @@ func TestPinnedReclaimENOSPC(t *testing.T) {
 		t.Fatal("pinned read of a block in limbo did not return its bytes")
 	}
 	page := patternData(PageSize, 2)
-	if _, err := fs.Write(in, 0, page, FlagNone); err != nil {
+	if _, err := fs.Write(in, 0, page, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatalf("write with the only free space in limbo: %v", err)
 	}
 	if pins, limbo := fs.FreePins(); pins != 1 || limbo != 0 || fs.FreeBlocks() != 7 {
@@ -171,16 +174,17 @@ func TestPinnedReclaimENOSPC(t *testing.T) {
 // it was freed is released; a pin taken later does not hold it.
 func TestFreePinLimboOrder(t *testing.T) {
 	t.Parallel()
-	_, fs := mkfsT(t, WithReleaser(freeAll()))
+	_, fs := mkfsT(t)
+	fs.SetReleaser(freeAll())
 	a := writeFileT(t, fs, "a", patternData(2*PageSize, 1))
 	b := writeFileT(t, fs, "b", patternData(3*PageSize, 2))
 	free0 := fs.FreeBlocks()
 	first := fs.PinFrees()
-	if err := fs.Truncate(a, 0, FlagNone); err != nil { // 2 blocks, held by first
+	if err := fs.Truncate(a, 0, FlagNone, obs.SpanContext{}); err != nil { // 2 blocks, held by first
 		t.Fatal(err)
 	}
 	second := fs.PinFrees()
-	if err := fs.Truncate(b, 0, FlagNone); err != nil { // 3 blocks, held by both
+	if err := fs.Truncate(b, 0, FlagNone, obs.SpanContext{}); err != nil { // 3 blocks, held by both
 		t.Fatal(err)
 	}
 	if _, limbo := fs.FreePins(); limbo != 5 || fs.FreeBlocks() != free0 {
@@ -220,7 +224,8 @@ func (g *gateReleaser) Release(blocks []uint64, free func(block uint64)) {
 func TestDrainReclaimWaitsForTakenBatches(t *testing.T) {
 	t.Parallel()
 	g := &gateReleaser{entered: make(chan struct{}), gate: make(chan struct{})}
-	_, fs := mkfsT(t, WithReleaser(g))
+	_, fs := mkfsT(t)
+	fs.SetReleaser(g)
 	writeFileT(t, fs, "f", patternData(4*PageSize, 1))
 	fs.DeferReclaim(func() {})
 	if err := fs.Delete("f"); err != nil {

@@ -2,13 +2,12 @@ package nova
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"denova/internal/layout"
+	"denova/internal/par"
 	"denova/internal/pmem"
 	"denova/internal/rtree"
 )
@@ -85,44 +84,11 @@ func (fs *FS) timedPass(res *ScanResult, name string, fn func() error) error {
 }
 
 // WithMountWorkers sets the worker-pool size for the parallel mount passes
-// (inode-table scan and per-file log replay). n <= 0 selects the default:
-// GOMAXPROCS capped at 8, matching the dedup daemon's pool sizing. One
+// (inode-table scan and per-file log replay); n <= 0 counts as 1. One
 // worker runs the exact sequential scan; any worker count produces the
 // same ScanResult and the same persistent image, because the parallel
 // passes are read-only and their fragments merge deterministically.
 func WithMountWorkers(n int) Option { return func(fs *FS) { fs.mountWorkers = n } }
-
-func (fs *FS) resolveMountWorkers() int {
-	w := fs.mountWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 8 {
-			w = 8
-		}
-	}
-	return w
-}
-
-// workerRanges splits [lo, hi) into at most w contiguous, ascending,
-// near-equal ranges. Empty ranges are elided.
-func workerRanges(lo, hi int64, w int) [][2]int64 {
-	if hi <= lo {
-		return nil
-	}
-	if int64(w) > hi-lo {
-		w = int(hi - lo)
-	}
-	out := make([][2]int64, 0, w)
-	n := hi - lo
-	for i := 0; i < w; i++ {
-		s := lo + n*int64(i)/int64(w)
-		e := lo + n*int64(i+1)/int64(w)
-		if e > s {
-			out = append(out, [2]int64{s, e})
-		}
-	}
-	return out
-}
 
 // Mount opens a previously formatted device, rebuilding all DRAM state
 // (radix trees, namespace, free lists, live-entry counts) by scanning the
@@ -158,7 +124,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 		o(fs)
 	}
 	fs.inUse[0] = true
-	workers := fs.resolveMountWorkers()
+	workers := max(fs.mountWorkers, 1)
 
 	// Pass 1: load every valid inode record, sharded by inode range.
 	var files []*Inode
@@ -335,42 +301,35 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 // merge walks the shards in range order, so the inode map, the files list
 // and the root detection behave exactly as the sequential ascending scan.
 func (fs *FS) scanInodeTable(workers int) ([]*Inode, error) {
-	rngs := workerRanges(1, fs.Geo.MaxInodes, workers)
-	shardInodes := make([][]*Inode, len(rngs))
-	shardErrs := make([]error, len(rngs))
-	var wg sync.WaitGroup
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			for ino := uint64(lo); ino < uint64(hi); ino++ {
-				di, err := fs.readInode(ino)
-				if err != nil {
-					shardErrs[w] = err
-					return
-				}
-				if !di.Valid {
-					continue
-				}
-				in := &Inode{
-					ino:     ino,
-					dir:     di.Dir,
-					gen:     di.Gen,
-					ctime:   di.Ctime,
-					logHead: di.LogHead,
-					logTail: di.LogTail,
-					live:    make(map[uint64]int),
-				}
-				if di.Dir {
-					in.names = make(map[string]uint64)
-				} else {
-					in.stage = newStageBuf()
-				}
-				shardInodes[w] = append(shardInodes[w], in)
+	shardInodes := make([][]*Inode, workers)
+	shardErrs := make([]error, len(shardInodes))
+	par.Ranges(1, fs.Geo.MaxInodes, workers, func(w int, lo, hi int64) {
+		for ino := uint64(lo); ino < uint64(hi); ino++ {
+			di, err := fs.readInode(ino)
+			if err != nil {
+				shardErrs[w] = err
+				return
 			}
-		}(w, r[0], r[1])
-	}
-	wg.Wait()
+			if !di.Valid {
+				continue
+			}
+			in := &Inode{
+				ino:     ino,
+				dir:     di.Dir,
+				gen:     di.Gen,
+				ctime:   di.Ctime,
+				logHead: di.LogHead,
+				logTail: di.LogTail,
+				live:    make(map[uint64]int),
+			}
+			if di.Dir {
+				in.names = make(map[string]uint64)
+			} else {
+				in.stage = newStageBuf()
+			}
+			shardInodes[w] = append(shardInodes[w], in)
+		}
+	})
 	for _, err := range shardErrs {
 		if err != nil {
 			return nil, err // first error in ascending-inode order
@@ -405,34 +364,28 @@ func (fs *FS) replayFilesParallel(files []*Inode, res *ScanResult, workers int) 
 		err             error
 		errFile         int
 	}
-	rngs := workerRanges(0, int64(len(files)), workers)
-	frags := make([]fragment, len(rngs))
-	var wg sync.WaitGroup
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(f *fragment, lo, hi int) {
-			defer wg.Done()
-			f.used = make([]bool, len(res.UsedBlocks))
-			for i := lo; i < hi; i++ {
-				in := files[i]
-				seq, mt, err := fs.replayFile(in, &f.scan)
-				if err == nil {
-					err = fs.markFileBlocks(in, f.used)
-				}
-				if err != nil {
-					f.err, f.errFile = err, i
-					return
-				}
-				if seq > f.maxSeq {
-					f.maxSeq = seq
-				}
-				if mt > f.maxTime {
-					f.maxTime = mt
-				}
+	frags := make([]fragment, workers)
+	par.Ranges(0, int64(len(files)), workers, func(w int, lo, hi int64) {
+		f := &frags[w]
+		f.used = make([]bool, len(res.UsedBlocks))
+		for i := int(lo); i < int(hi); i++ {
+			in := files[i]
+			seq, mt, err := fs.replayFile(in, &f.scan)
+			if err == nil {
+				err = fs.markFileBlocks(in, f.used)
 			}
-		}(&frags[w], int(r[0]), int(r[1]))
-	}
-	wg.Wait()
+			if err != nil {
+				f.err, f.errFile = err, i
+				return
+			}
+			if seq > f.maxSeq {
+				f.maxSeq = seq
+			}
+			if mt > f.maxTime {
+				f.maxTime = mt
+			}
+		}
+	})
 
 	// First error by file index, so error reporting is deterministic too.
 	var firstErr error

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"denova/internal/obs"
 	"denova/internal/pmem"
 )
 
@@ -137,7 +138,7 @@ func TestMountGCReclaimsDeadLogPages(t *testing.T) {
 		// killing its predecessor. The next write spills to a fresh page and
 		// its commit kills entry 63 — emptying page one — then fast-GCs it.
 		for i := 0; i < EntriesPerLogPage; i++ {
-			if _, err := fs.Write(in, 0, []byte{byte(i)}, FlagNone); err != nil {
+			if _, err := fs.Write(in, 0, []byte{byte(i)}, FlagNone, obs.SpanContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -153,7 +154,7 @@ func TestMountGCReclaimsDeadLogPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := probe.PersistOps()
-	if _, err := fsP.Write(inP, 0, []byte{0xAB}, FlagNone); err != nil {
+	if _, err := fsP.Write(inP, 0, []byte{0xAB}, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	total := probe.PersistOps() - start
@@ -173,7 +174,7 @@ func TestMountGCReclaimsDeadLogPages(t *testing.T) {
 			t.Fatal(err)
 		}
 		work.SetCrashAfter(k)
-		crashed := pmem.RunToCrash(func() { fsW.Write(inW, 0, []byte{0xAB}, FlagNone) })
+		crashed := pmem.RunToCrash(func() { fsW.Write(inW, 0, []byte{0xAB}, FlagNone, obs.SpanContext{}) })
 		if !crashed {
 			break
 		}
@@ -281,12 +282,12 @@ func buildMessyImage(t *testing.T, seed int64) *pmem.Device {
 				flag = FlagNeeded
 			}
 			data := patternData(1+rng.Intn(2*PageSize), byte(i*7+w))
-			if _, err := fs.Write(in, uint64(rng.Intn(3))*PageSize, data, flag); err != nil {
+			if _, err := fs.Write(in, uint64(rng.Intn(3))*PageSize, data, flag, obs.SpanContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if rng.Intn(4) == 0 {
-			if err := fs.Truncate(in, uint64(rng.Intn(PageSize)), FlagNone); err != nil {
+			if err := fs.Truncate(in, uint64(rng.Intn(PageSize)), FlagNone, obs.SpanContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -68,16 +68,11 @@ func (st *stageBuf) effectiveSize(base uint64) uint64 {
 // is held, so concurrent readers (and other stagers) are never excluded;
 // per-buffer ordering comes from the staging mutex. The bytes become
 // durable at the next relink (File.Sync, truncate/GC quiesce, or the
-// staging flusher); a crash before that loses them — and only them.
-func (fs *FS) StageWrite(in *Inode, off uint64, data []byte, flag uint8) (int, error) {
-	return fs.StageWriteCtx(in, off, data, flag, obs.SpanContext{})
-}
-
-// StageWriteCtx is StageWrite carrying the caller's span context. The
-// buffer remembers the last traced stager so the eventual relink (and the
-// dedup work it enqueues) is attributed to the request that staged the
-// data.
-func (fs *FS) StageWriteCtx(in *Inode, off uint64, data []byte, flag uint8, sc obs.SpanContext) (int, error) {
+// staging flusher); a crash before that loses them — and only them. sc is
+// the caller's span context (zero = untraced); the buffer remembers the last
+// traced stager so the eventual relink (and the dedup work it enqueues) is
+// attributed to the request that staged the data.
+func (fs *FS) StageWrite(in *Inode, off uint64, data []byte, flag uint8, sc obs.SpanContext) (int, error) {
 	if len(data) == 0 {
 		return 0, nil
 	}

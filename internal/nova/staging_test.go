@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"denova/internal/obs"
 	"denova/internal/pmem"
 )
 
@@ -20,12 +21,12 @@ func TestStageWriteReadOverlay(t *testing.T) {
 
 	// Overwrite the middle and append past EOF — both stay in DRAM.
 	over := patternData(200, 2)
-	if n, err := fs.StageWrite(in, 50, over, FlagNone); err != nil || n != len(over) {
+	if n, err := fs.StageWrite(in, 50, over, FlagNone, obs.SpanContext{}); err != nil || n != len(over) {
 		t.Fatalf("StageWrite = %d, %v", n, err)
 	}
 	app := patternData(300, 3)
 	appOff := uint64(len(base))
-	if _, err := fs.StageWrite(in, appOff, app, FlagNone); err != nil {
+	if _, err := fs.StageWrite(in, appOff, app, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,17 +83,26 @@ func TestCommitBudget(t *testing.T) {
 		{name: "create", fences: 5, flushed: 6,
 			op: func() (err error) { in, err = fs.Create("f"); return }},
 		{name: "1-page write", fences: 2, flushed: 2, nt: 64,
-			op: func() error { _, err := fs.Write(in, 0, patternData(PageSize, 1), FlagNone); return err }},
+			op: func() error {
+				_, err := fs.Write(in, 0, patternData(PageSize, 1), FlagNone, obs.SpanContext{})
+				return err
+			}},
 		{name: "4-page write", fences: 2, flushed: 2, nt: 256,
-			op: func() error { _, err := fs.Write(in, PageSize, patternData(4*PageSize, 2), FlagNone); return err }},
+			op: func() error {
+				_, err := fs.Write(in, PageSize, patternData(4*PageSize, 2), FlagNone, obs.SpanContext{})
+				return err
+			}},
 		{name: "1-page overwrite", fences: 2, flushed: 2, nt: 64,
-			op: func() error { _, err := fs.Write(in, 0, patternData(PageSize, 3), FlagNone); return err }},
+			op: func() error {
+				_, err := fs.Write(in, 0, patternData(PageSize, 3), FlagNone, obs.SpanContext{})
+				return err
+			}},
 		{name: "page-aligned truncate", fences: 2, flushed: 2,
-			op: func() error { return fs.Truncate(in, 3*PageSize, FlagNone) }},
+			op: func() error { return fs.Truncate(in, 3*PageSize, FlagNone, obs.SpanContext{}) }},
 		// Two records — the remapped tail page and the truncate entry — under
 		// one fence; fencing each, as the three-way append once did, is 3/3/64.
 		{name: "mid-page truncate with tail remap", fences: 2, flushed: 3, nt: 64,
-			op: func() error { return fs.Truncate(in, 2*PageSize+100, FlagNone) }},
+			op: func() error { return fs.Truncate(in, 2*PageSize+100, FlagNone, obs.SpanContext{}) }},
 		{name: relinkRow, fences: 2, flushed: 2, nt: 512,
 			prep: func() error { return stagePagesT(fs, in, 8, 9, 10, 11, 12, 13, 14, 15) },
 			op:   func() error { _, err := fs.Relink(in); return err }},
@@ -102,7 +112,7 @@ func TestCommitBudget(t *testing.T) {
 		{name: slowRow, fences: 16, flushed: 16, nt: 512,
 			op: func() error {
 				for pg := uint64(8); pg < 16; pg++ { // the relinked pages again, 22 pages up
-					if _, err := fs.Write(in, (pg+22)*PageSize, patternData(PageSize, byte(pg)), FlagNone); err != nil {
+					if _, err := fs.Write(in, (pg+22)*PageSize, patternData(PageSize, byte(pg)), FlagNone, obs.SpanContext{}); err != nil {
 						return err
 					}
 				}
@@ -146,7 +156,7 @@ func TestCommitBudget(t *testing.T) {
 // stagePagesT stages one full page of pattern data at each of pgs.
 func stagePagesT(fs *FS, in *Inode, pgs ...uint64) error {
 	for _, pg := range pgs {
-		if _, err := fs.StageWrite(in, pg*PageSize, patternData(PageSize, byte(pg)), FlagNone); err != nil {
+		if _, err := fs.StageWrite(in, pg*PageSize, patternData(PageSize, byte(pg)), FlagNone, obs.SpanContext{}); err != nil {
 			return err
 		}
 	}
@@ -165,7 +175,7 @@ func TestRelinkSparseExtents(t *testing.T) {
 	model := make([]byte, 11*PageSize)
 	for _, pg := range []uint64{0, 1, 5, 9, 10} {
 		data := patternData(PageSize, byte(pg))
-		if _, err := fs.StageWrite(in, pg*PageSize, data, FlagNone); err != nil {
+		if _, err := fs.StageWrite(in, pg*PageSize, data, FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 		copy(model[pg*PageSize:], data)
@@ -211,11 +221,11 @@ func TestStagingRandomOracle(t *testing.T) {
 			data := patternData(n, byte(rng.Intn(256)))
 			switch rng.Intn(5) {
 			case 0: // slow path (quiesces staging internally)
-				if _, err := fs.Write(in, uint64(off), data, FlagNone); err != nil {
+				if _, err := fs.Write(in, uint64(off), data, FlagNone, obs.SpanContext{}); err != nil {
 					t.Fatalf("seed %d op %d: write: %v", seed, op, err)
 				}
 			case 1, 2: // fast path
-				if _, err := fs.StageWrite(in, uint64(off), data, FlagNone); err != nil {
+				if _, err := fs.StageWrite(in, uint64(off), data, FlagNone, obs.SpanContext{}); err != nil {
 					t.Fatalf("seed %d op %d: stage: %v", seed, op, err)
 				}
 			case 3:
@@ -225,7 +235,7 @@ func TestStagingRandomOracle(t *testing.T) {
 				continue
 			case 4:
 				cut := rng.Intn(20 * PageSize)
-				if err := fs.Truncate(in, uint64(cut), FlagNone); err != nil {
+				if err := fs.Truncate(in, uint64(cut), FlagNone, obs.SpanContext{}); err != nil {
 					t.Fatalf("seed %d op %d: truncate: %v", seed, op, err)
 				}
 				if cut < len(model) {
@@ -291,7 +301,7 @@ func TestEnsureLogSpaceSpares(t *testing.T) {
 
 	// Appends must walk into the spares without allocating new pages.
 	for i := 0; i < 2*EntriesPerLogPage; i++ {
-		if _, err := fs.Write(in, 0, patternData(64, byte(i)), FlagNone); err != nil {
+		if _, err := fs.Write(in, 0, patternData(64, byte(i)), FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,7 +329,7 @@ func TestDeleteDiscardsStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.StageWrite(in, 0, patternData(4*PageSize, 7), FlagNone); err != nil {
+	if _, err := fs.StageWrite(in, 0, patternData(4*PageSize, 7), FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Delete("doomed"); err != nil {
@@ -339,11 +349,11 @@ func TestTruncateQuiescesStaging(t *testing.T) {
 	t.Parallel()
 	dev, fs := mkfsT(t)
 	in := writeFileT(t, fs, "f", patternData(PageSize, 1))
-	if _, err := fs.StageWrite(in, PageSize, patternData(4*PageSize, 2), FlagNone); err != nil {
+	if _, err := fs.StageWrite(in, PageSize, patternData(4*PageSize, 2), FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	const cut = PageSize + 100
-	if err := fs.Truncate(in, cut, FlagNone); err != nil {
+	if err := fs.Truncate(in, cut, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := in.Size(); got != cut {
@@ -384,9 +394,12 @@ func TestCommitENOSPC(t *testing.T) {
 	t.Parallel()
 	base := patternData(2*PageSize, 3)
 	page := patternData(PageSize, 7)
-	write := func(fs *FS, in *Inode) error { _, err := fs.Write(in, PageSize, page, FlagNone); return err }
+	write := func(fs *FS, in *Inode) error {
+		_, err := fs.Write(in, PageSize, page, FlagNone, obs.SpanContext{})
+		return err
+	}
 	relink := func(fs *FS, in *Inode) error { _, err := fs.Relink(in); return err }
-	truncate := func(fs *FS, in *Inode) error { return fs.Truncate(in, PageSize+7, FlagNone) }
+	truncate := func(fs *FS, in *Inode) error { return fs.Truncate(in, PageSize+7, FlagNone, obs.SpanContext{}) }
 	overwritten := append(append([]byte{}, base[:PageSize]...), page...)
 	for _, tc := range []struct {
 		name     string
@@ -413,7 +426,7 @@ func TestCommitENOSPC(t *testing.T) {
 			writeFileT(t, fs, "ballast", patternData(8*PageSize, 1))
 			in := writeFileT(t, fs, "f", base)
 			for tc.fullTail && slotIndex(in.logTail) < EntriesPerLogPage {
-				if _, err := fs.Write(in, 0, base[:PageSize], FlagNone); err != nil {
+				if _, err := fs.Write(in, 0, base[:PageSize], FlagNone, obs.SpanContext{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -500,7 +513,7 @@ func TestCrashBeforeRelinkLosesOnlyStaged(t *testing.T) {
 	dev, fs := mkfsT(t)
 	base := patternData(2*PageSize, 1)
 	in := writeFileT(t, fs, "f", base)
-	if _, err := fs.StageWrite(in, uint64(len(base)), patternData(3*PageSize, 2), FlagNone); err != nil {
+	if _, err := fs.StageWrite(in, uint64(len(base)), patternData(3*PageSize, 2), FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	img := dev.CrashImage(pmem.CrashDropDirty, 0)

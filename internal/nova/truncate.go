@@ -61,13 +61,9 @@ func decodeTruncateEntry(rec layout.Record) (size, seq uint64, err error) {
 // atomic tail store.
 // flag is the dedupe-flag for the tail-remap entry (FlagNeeded when
 // deduplication is enabled, so the zero-tailed copy becomes a dedup
-// candidate like any other new page).
-func (fs *FS) Truncate(in *Inode, size uint64, flag uint8) error {
-	return fs.TruncateCtx(in, size, flag, obs.SpanContext{})
-}
-
-// TruncateCtx is Truncate carrying the caller's span context.
-func (fs *FS) TruncateCtx(in *Inode, size uint64, flag uint8, sc obs.SpanContext) error {
+// candidate like any other new page). sc is the caller's span context
+// (zero = untraced).
+func (fs *FS) Truncate(in *Inode, size uint64, flag uint8, sc obs.SpanContext) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.dir {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"denova/internal/obs"
 	"denova/internal/pmem"
 )
 
@@ -14,7 +15,7 @@ func TestTruncateShrink(t *testing.T) {
 	data := patternData(3*PageSize+100, 1)
 	in := writeFileT(t, fs, "f", data)
 	free := fs.FreeBlocks()
-	if err := fs.Truncate(in, PageSize+50, FlagNone); err != nil {
+	if err := fs.Truncate(in, PageSize+50, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if in.Size() != PageSize+50 {
@@ -37,7 +38,7 @@ func TestTruncateGrowReadsZeros(t *testing.T) {
 	t.Parallel()
 	_, fs := mkfsT(t)
 	in := writeFileT(t, fs, "f", patternData(100, 2))
-	if err := fs.Truncate(in, 2*PageSize, FlagNone); err != nil {
+	if err := fs.Truncate(in, 2*PageSize, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	got := readFileT(t, fs, in, 0, 2*PageSize)
@@ -56,7 +57,7 @@ func TestTruncateToZeroAndRewrite(t *testing.T) {
 	_, fs := mkfsT(t)
 	in := writeFileT(t, fs, "f", patternData(2*PageSize, 3))
 	free0 := fs.FreeBlocks()
-	if err := fs.Truncate(in, 0, FlagNone); err != nil {
+	if err := fs.Truncate(in, 0, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if in.Size() != 0 || in.PageCount() != 0 {
@@ -66,7 +67,7 @@ func TestTruncateToZeroAndRewrite(t *testing.T) {
 		t.Fatalf("blocks not reclaimed: %d vs %d", fs.FreeBlocks(), free0+2)
 	}
 	fresh := patternData(PageSize, 4)
-	if _, err := fs.Write(in, 0, fresh, FlagNone); err != nil {
+	if _, err := fs.Write(in, 0, fresh, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readFileT(t, fs, in, 0, PageSize), fresh) {
@@ -78,10 +79,10 @@ func TestTruncateNoopAndDirRejected(t *testing.T) {
 	t.Parallel()
 	_, fs := mkfsT(t)
 	in := writeFileT(t, fs, "f", patternData(10, 5))
-	if err := fs.Truncate(in, 10, FlagNone); err != nil {
+	if err := fs.Truncate(in, 10, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Truncate(fs.Root(), 0, FlagNone); err == nil {
+	if err := fs.Truncate(fs.Root(), 0, FlagNone, obs.SpanContext{}); err == nil {
 		t.Fatal("truncated a directory")
 	}
 }
@@ -91,7 +92,7 @@ func TestTruncateSurvivesRemount(t *testing.T) {
 	dev, fs := mkfsT(t)
 	data := patternData(3*PageSize, 6)
 	in := writeFileT(t, fs, "f", data)
-	fs.Truncate(in, PageSize, FlagNone)
+	fs.Truncate(in, PageSize, FlagNone, obs.SpanContext{})
 	fs.Unmount()
 	fs2, _, err := Mount(dev)
 	if err != nil {
@@ -117,9 +118,9 @@ func TestTruncateThenWriteThenCrash(t *testing.T) {
 	dev, fs := mkfsT(t)
 	data := patternData(3*PageSize, 7)
 	in := writeFileT(t, fs, "f", data)
-	fs.Truncate(in, PageSize, FlagNone)
+	fs.Truncate(in, PageSize, FlagNone, obs.SpanContext{})
 	patch := patternData(PageSize, 8)
-	fs.Write(in, 4*PageSize, patch, FlagNone) // write past the hole
+	fs.Write(in, 4*PageSize, patch, FlagNone, obs.SpanContext{}) // write past the hole
 	img := dev.CrashImage(pmem.CrashDropDirty, 0)
 	fs2, _, err := Mount(img)
 	if err != nil {
@@ -161,7 +162,7 @@ func TestTruncateCrashSweep(t *testing.T) {
 	}
 	inP, _ := fsP.Lookup("f")
 	start := probe.PersistOps()
-	fsP.Truncate(inP, PageSize, FlagNone)
+	fsP.Truncate(inP, PageSize, FlagNone, obs.SpanContext{})
 	total := probe.PersistOps() - start
 	if total == 0 {
 		t.Fatal("truncate persisted nothing")
@@ -176,7 +177,7 @@ func TestTruncateCrashSweep(t *testing.T) {
 		}
 		inW, _ := fsW.Lookup("f")
 		work.SetCrashAfter(k)
-		pmem.RunToCrash(func() { fsW.Truncate(inW, PageSize, FlagNone) })
+		pmem.RunToCrash(func() { fsW.Truncate(inW, PageSize, FlagNone, obs.SpanContext{}) })
 		img := work.CrashImage(pmem.CrashDropDirty, k)
 		fsR, _, err := Mount(img)
 		if err != nil {
@@ -208,7 +209,7 @@ func TestFsckCleanOnHealthyFS(t *testing.T) {
 	}
 	fs.Delete("f3")
 	in, _ := fs.Lookup("f4")
-	fs.Write(in, 0, patternData(PageSize, 99), FlagNone)
+	fs.Write(in, 0, patternData(PageSize, 99), FlagNone, obs.SpanContext{})
 	if err := fs.Fsck(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -260,22 +261,22 @@ func TestFastGCPreservesTruncateEntry(t *testing.T) {
 	// pg 1 but pg 0 keeps the entry (and with it the page) alive — exactly
 	// the "earlier surviving entry" whose pg 1 a lost truncate entry would
 	// resurrect.
-	if _, err := fs.Write(in, 0, patternData(2*PageSize, 1), FlagNone); err != nil {
+	if _, err := fs.Write(in, 0, patternData(2*PageSize, 1), FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	// Slots 1..62: self-shadowing writes to pg 3 fill page 1.
 	for i := 0; i < EntriesPerLogPage-1; i++ {
-		if _, err := fs.Write(in, 3*PageSize, patternData(PageSize, byte(i)), FlagNone); err != nil {
+		if _, err := fs.Write(in, 3*PageSize, patternData(PageSize, byte(i)), FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Log page 2, slot 0: a write to pg 2; slot 1: the truncate, killing
 	// pg 1 (page-1 entry), pg 2 and pg 3 (page-2/page-1 entries). Page 2's
 	// only write entry is now dead.
-	if _, err := fs.Write(in, 2*PageSize, patternData(PageSize, 9), FlagNone); err != nil {
+	if _, err := fs.Write(in, 2*PageSize, patternData(PageSize, 9), FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Truncate(in, PageSize, FlagNone); err != nil {
+	if err := fs.Truncate(in, PageSize, FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	// Slots 2..62 of page 2: self-shadowing writes to pg 4; then one more
@@ -283,11 +284,11 @@ func TestFastGCPreservesTruncateEntry(t *testing.T) {
 	// Without the truncate pin, page 2 (all write refs dead, no longer the
 	// tail) is fast-GC'd here and the truncate entry is lost.
 	for i := 0; i < EntriesPerLogPage-2; i++ {
-		if _, err := fs.Write(in, 4*PageSize, patternData(PageSize, byte(i)), FlagNone); err != nil {
+		if _, err := fs.Write(in, 4*PageSize, patternData(PageSize, byte(i)), FlagNone, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := fs.Write(in, 4*PageSize, patternData(PageSize, 77), FlagNone); err != nil {
+	if _, err := fs.Write(in, 4*PageSize, patternData(PageSize, 77), FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -55,7 +55,7 @@ func (f *FS) initObs() {
 	}
 	// One ring shard per dedup worker plus one for foreground ops keeps each
 	// worker's event stream contiguous.
-	shards := resolveWorkers(f.cfg.Workers) + 1
+	shards := f.cfg.Workers + 1
 	f.tracer = obs.NewTracer(f.cfg.Tracing, shards, events)
 	fine := f.cfg.Tracing >= TraceFine
 	f.fs.SetObserver(nova.NewObserver(f.reg, f.tracer, fine))

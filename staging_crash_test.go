@@ -3,7 +3,9 @@ package denova
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"denova/internal/pmem"
 )
@@ -216,5 +218,50 @@ func TestHandleStableAcrossCrashRecovery(t *testing.T) {
 	}
 	if _, err := fs2.FileByHandle(hGone); !errors.Is(err, ErrStaleHandle) {
 		t.Fatalf("deleted file's handle = %v, want ErrStaleHandle", err)
+	}
+}
+
+// TestStagingMaxDelayFlushes: with MaxDelay set and no Sync, the background
+// flusher alone makes staged writes durable — a drop-dirty crash image taken
+// once nothing is staged reads back byte-exact — and Unmount joins it.
+func TestStagingMaxDelayFlushes(t *testing.T) {
+	cfg := Config{Staging: StagingConfig{MaxPages: 1024, MaxDelay: 5 * time.Millisecond}}
+	before := runtime.NumGoroutine()
+	dev, fs := mkFS(t, cfg)
+	want := append(npages(1, 2, 3), page(4)[:100]...)
+	f := writeAll(t, fs, "f", want)
+	deadline := time.Now().Add(2 * time.Second)
+	for f.in.StagedPages() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pages still staged after 2s with MaxDelay 5ms", f.in.StagedPages())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	img := dev.CrashImage(pmem.CrashDropDirty, 0)
+	fs2, _, err := Mount(img, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := fs2.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, g); !bytes.Equal(got, want) {
+		t.Fatalf("crash image reads %d bytes that differ from the %d written", len(got), len(want))
+	}
+	if err := fs2.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Unmount, %d before Mkfs", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -28,14 +28,12 @@ func (s SpaceStats) Savings() float64 {
 	return 1 - float64(s.PhysicalPages)/float64(s.LogicalPages)
 }
 
-// QueueStats describes the deduplication work queue: aggregate depth plus
-// the per-shard breakdown the parallel pipeline exposes.
+// QueueStats describes the deduplication work queue.
 type QueueStats struct {
 	Len      int   // nodes currently queued
 	Peak     int   // high-water mark (DRAM footprint, §V-B2)
 	Enqueued int64 // lifetime enqueues
 	Dequeued int64 // lifetime dequeues
-	Shards   []int // current depth of each inode shard
 }
 
 // GeometryInfo describes the on-device region sizes (for overhead
@@ -75,9 +73,6 @@ func (f *FS) StatsSnapshot() StatsSnapshot {
 			Peak:     q.Peak(),
 			Enqueued: enq,
 			Dequeued: deq,
-			// Copy even though ShardLens allocates today: the snapshot
-			// contract must not depend on a lower layer's implementation.
-			Shards: append([]int(nil), q.ShardLens()...),
 		}
 	}
 	if f.daemon != nil {
@@ -101,12 +96,12 @@ type Stats struct {
 // logical/physical page counts, so it is not free; call it between
 // measurement phases, not inside them.
 //
-// The result is a point-in-time snapshot: every slice (Queue.Shards,
-// Workers) is a defensive copy owned by the caller, safe to retain and
-// read while writers, dedup workers, and GC keep running. Fields read at
-// slightly different instants may be mutually inconsistent (e.g. Queue.Len
-// vs the sum of Queue.Shards); each individual value was true at some
-// moment during the call.
+// The result is a point-in-time snapshot: the Workers slice is a defensive
+// copy owned by the caller, safe to retain and read while writers, dedup
+// workers, and GC keep running. Fields read at slightly different instants
+// may be mutually inconsistent (e.g. Queue.Len vs Queue.Enqueued -
+// Queue.Dequeued); each individual value was true at some moment during the
+// call.
 func (f *FS) Stats() Stats {
 	var st Stats
 	st.FS = f.fs.Stats()
