@@ -32,19 +32,19 @@ func TestParseSizeValid(t *testing.T) {
 
 func TestParseSizeInvalid(t *testing.T) {
 	cases := []string{
-		"",        // empty
-		"M",       // suffix only
-		"G",       // suffix only
-		"abc",     // not a number
-		"12q",     // unknown suffix
-		"1.5M",    // fractional
-		"0",       // zero
-		"0K",      // zero with suffix
-		"-1",      // negative
-		"-64M",    // negative with suffix
+		"",            // empty
+		"M",           // suffix only
+		"G",           // suffix only
+		"abc",         // not a number
+		"12q",         // unknown suffix
+		"1.5M",        // fractional
+		"0",           // zero
+		"0K",          // zero with suffix
+		"-1",          // negative
+		"-64M",        // negative with suffix
 		"9999999999G", // overflows int64 bytes
-		"1 M",     // embedded space
-		"MM",      // garbage
+		"1 M",         // embedded space
+		"MM",          // garbage
 	}
 	for _, c := range cases {
 		got, err := parseSize(c)

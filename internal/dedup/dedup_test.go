@@ -28,8 +28,14 @@ type rig struct {
 
 func newRig(t testing.TB) *rig {
 	t.Helper()
+	return newRigInodes(t, 256)
+}
+
+// newRigInodes is newRig with room for maxInodes inodes, the root included.
+func newRigInodes(t testing.TB, maxInodes int64) *rig {
+	t.Helper()
 	dev := pmem.New(testDevSize, pmem.ProfileZero)
-	fs, err := nova.Mkfs(dev, 256)
+	fs, err := nova.Mkfs(dev, maxInodes)
 	if err != nil {
 		t.Fatal(err)
 	}

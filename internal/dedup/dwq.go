@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"denova/internal/layout"
+	"denova/internal/nova"
 	"denova/internal/pmem"
 )
 
@@ -25,7 +26,25 @@ type Node struct {
 	Trace  uint64
 	Span   uint64
 	Tenant uint16
+
+	// Hint holds a relinked entry's stage-page images, so ProcessEntry can
+	// hash them instead of reading the blocks back (see nova.PageImages).
+	// DRAM-only, like the span context: Save drops it, and the DWQ holds
+	// at most hintCap hinted pages at once.
+	Hint nova.PageImages
 }
+
+// hintCap bounds the stage-page images queued nodes hold at once, in pages.
+// It is a constant, not a setting: the images are relink's own buffers, so
+// the cap is only a ceiling on how much garbage the queue may keep alive.
+// On ingest-staged (relinks of 16.7 pages on average, the single worker
+// 97 % busy) the queue peaks at 90–160 nodes; with 2,048 pages (8 MiB) the
+// traced seed-1 run on the 2-core benchmark host still hashed 99.9 % of
+// its pages from images, and rt.heap_peak_mb rose by 2 MiB. With Go's
+// default GC target the heap may grow by up to twice what the cap holds. A
+// node enqueued past the cap loses its hint and is hashed from PM, as a
+// slow-path write is.
+const hintCap = 2048
 
 // DWQ is the deduplication work queue of §IV-B1: a mutex-guarded FIFO in
 // DRAM shared by the foreground write path (producers) and a pool of
@@ -54,6 +73,7 @@ type DWQ struct {
 	totalEnq int64
 	totalDeq int64
 	peakLen  int
+	hinted   int // pages of hint images the queued nodes hold (<= hintCap)
 
 	// lingerHook, when set, observes each dequeued node's time in queue
 	// (enqueue→dequeue), the Fig. 10 metric. May be called concurrently
@@ -86,6 +106,13 @@ func (q *DWQ) Enqueue(n Node) {
 		n.Enqueued = time.Now()
 	}
 	q.mu.Lock()
+	if k := len(n.Hint.Imgs); k > 0 {
+		if q.hinted+k > hintCap {
+			n.Hint = nova.PageImages{}
+		} else {
+			q.hinted += k
+		}
+	}
 	q.items = append(q.items, n)
 	q.totalEnq++
 	q.peakLen = max(q.peakLen, len(q.items)-q.head)
@@ -109,6 +136,11 @@ func (q *DWQ) DequeueBatch(m int) []Node {
 		// may rewrite) the backing array a sub-slice would alias, handing
 		// the consumer duplicated and dropped nodes.
 		out = append(out, q.items[q.head:q.head+take]...)
+		for _, n := range out {
+			q.hinted -= len(n.Hint.Imgs)
+		}
+		// The vacated slots must not keep the hints' images alive.
+		clear(q.items[q.head : q.head+take])
 		q.head += take
 		q.totalDeq += int64(take)
 	}
@@ -116,8 +148,11 @@ func (q *DWQ) DequeueBatch(m int) []Node {
 		q.items = q.items[:0]
 		q.head = 0
 	} else if q.head > 4096 && q.head*2 > len(q.items) {
-		// Compact to keep the backing array bounded.
-		q.items = append(q.items[:0], q.items[q.head:]...)
+		// Compact to keep the backing array bounded, clearing the slots
+		// past the moved nodes so they keep no images alive.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
 		q.head = 0
 	}
 	q.mu.Unlock()
@@ -184,8 +219,9 @@ func (q *DWQ) Peak() int {
 	return q.peakLen
 }
 
-// NodeBytes is the DRAM cost of one queued node.
-const NodeBytes = 56 // ino + entry offset + enqueue timestamp + span context
+// NodeBytes is the DRAM cost of one queued node, not counting the hint's
+// images (bounded by hintCap).
+const NodeBytes = 96 // ino + entry offset + enqueue timestamp + span context + hint
 
 // --- Clean-shutdown persistence (§IV-B1: "On a normal shutdown, the
 // entries in the DWQ are saved to NVM and restored to DRAM after power

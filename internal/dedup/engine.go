@@ -39,6 +39,10 @@ type Engine struct {
 	// hashed, when set (by tests only, before any consumer runs), is called
 	// between ProcessEntry's unlocked fingerprinting and its relock.
 	hashed func(Node)
+	// hintHashed, when set (by tests only, before any consumer runs), is
+	// called in the unlocked window for each page hashed from a hint image,
+	// with the free-pin that still covers its block.
+	hintHashed func(pin *nova.FreePin, block uint64, fp fact.FP)
 
 	stats Stats
 }
@@ -48,6 +52,7 @@ type Stats struct {
 	EntriesProcessed int64 // DWQ nodes fully processed
 	EntriesSkipped   int64 // stale nodes (file deleted, entry shadowed/reused)
 	PagesScanned     int64 // pages fingerprinted
+	PagesHinted      int64 // of those, pages hashed from a relink's DRAM image
 	PagesDuplicate   int64 // pages remapped onto canonical blocks
 	PagesUnique      int64 // pages that created FACT entries
 	PagesStale       int64 // pages skipped (shadowed before dedup ran)
@@ -60,6 +65,7 @@ func (e *Engine) snapshotStats() Stats {
 		EntriesProcessed: atomic.LoadInt64(&e.stats.EntriesProcessed),
 		EntriesSkipped:   atomic.LoadInt64(&e.stats.EntriesSkipped),
 		PagesScanned:     atomic.LoadInt64(&e.stats.PagesScanned),
+		PagesHinted:      atomic.LoadInt64(&e.stats.PagesHinted),
 		PagesDuplicate:   atomic.LoadInt64(&e.stats.PagesDuplicate),
 		PagesUnique:      atomic.LoadInt64(&e.stats.PagesUnique),
 		PagesStale:       atomic.LoadInt64(&e.stats.PagesStale),
@@ -76,7 +82,7 @@ func (e *Engine) Stats() Stats { return e.snapshotStats() }
 func NewEngine(fs *nova.FS, table *fact.Table) *Engine {
 	e := &Engine{fs: fs, table: table, dwq: NewDWQ()}
 	fs.SetReleaser(e)
-	fs.SetWriteHook(func(in *nova.Inode, entryOff uint64, sc obs.SpanContext) {
+	fs.SetWriteHook(func(in *nova.Inode, entryOff uint64, imgs nova.PageImages, sc obs.SpanContext) {
 		if o := e.obs; o != nil {
 			o.Enqueues.Inc()
 			if o.Fine {
@@ -86,6 +92,7 @@ func NewEngine(fs *nova.FS, table *fact.Table) *Engine {
 		e.dwq.Enqueue(Node{
 			Ino: in.Ino(), EntryOff: entryOff,
 			Trace: sc.Trace, Span: sc.Span, Tenant: sc.Tenant,
+			Hint: imgs,
 		})
 	})
 	return e
@@ -109,9 +116,11 @@ func (e *Engine) Release(blocks []uint64, free func(block uint64)) {
 }
 
 // candPage is a page ProcessEntry fingerprints: mapped, when the node was
-// revalidated, by the node's own entry.
+// revalidated, by the node's own entry. img, when set, is the node's hint
+// image of the page, which ProcessEntry hashes instead of the block.
 type candPage struct {
 	pg, block uint64
+	img       []byte
 	fp        fact.FP
 }
 
@@ -146,11 +155,12 @@ type Scratch struct {
 //	② fingerprints are generated and looked up in the FACT — in three
 //	   phases: under the inode lock the node is revalidated and the pages
 //	   its entry still maps are collected; the lock is dropped and those
-//	   pages are read and hashed behind a free-pin (nova.FS.PinFrees), so
-//	   the foreground is not held up by T_f; under the lock again the node
-//	   is revalidated and, if the radix tree changed meanwhile, every page
-//	   no longer mapped by the node's entry to the block that was hashed is
-//	   dropped,
+//	   pages are hashed behind a free-pin (nova.FS.PinFrees), so the
+//	   foreground is not held up by T_f — from the node's hint images
+//	   where they are still valid, read from PM otherwise; under the lock
+//	   again the node is revalidated and, if the radix tree changed
+//	   meanwhile, every page no longer mapped by the node's entry to the
+//	   block that was hashed is dropped,
 //	③ the UC of each touched FACT entry is raised (BeginTxn),
 //	④ a new write entry is appended per duplicate page, pointing at the
 //	   canonical block, with dedupe-flag in_process,
@@ -224,18 +234,30 @@ func (e *Engine) ProcessEntry(node Node, sc *Scratch) bool {
 	defer pin.Release()
 	stage(obs.OpDedupRevalidate, node.EntryOff)
 
-	// ② Unlocked: hash every candidate page. A page the pin can no longer
-	// read (a forced drain freed limbo) ends the scan; the rest stay
-	// un-deduplicated.
-	chunk, hashed := sc.chunk[:], 0
+	// ② Unlocked: hash every candidate page, from its hint image when it
+	// has one. A page the pin can no longer read (a forced drain freed
+	// limbo) ends the scan; the rest stay un-deduplicated.
+	chunk, hashed, hinted := sc.chunk[:], 0, 0
 	for ; hashed < len(cands); hashed++ {
 		c := &cands[hashed]
+		if c.img != nil {
+			c.fp = Strong(c.img)
+			hinted++
+			if e.hintHashed != nil {
+				e.hintHashed(&pin, c.block, c.fp)
+			}
+			continue
+		}
 		if !pin.ReadPinned(c.block, chunk) {
 			break
 		}
 		c.fp = Strong(chunk)
 	}
 	atomic.AddInt64(&e.stats.PagesScanned, int64(hashed))
+	atomic.AddInt64(&e.stats.PagesHinted, int64(hinted))
+	if o != nil {
+		o.PagesHinted.Add(int64(hinted))
+	}
 	atomic.AddInt64(&e.stats.PagesStale, int64(len(cands)-hashed))
 	cands = cands[:hashed]
 	stage(obs.OpDedupFingerprint, uint64(hashed))
@@ -345,9 +367,15 @@ func (e *Engine) ProcessEntry(node Node, sc *Scratch) bool {
 }
 
 // collectLocked revalidates node against the live log and collects, into
-// sc.cands, the pages its entry still maps. It returns them with the radix
-// tree's mutation counter and a free-pin covering their blocks, or ok false
-// for a stale node. The caller holds the inode lock.
+// sc.cands, the pages its entry still maps, each with its hint image when
+// the node's hint is still valid. It returns them with the radix tree's
+// mutation counter and a free-pin covering their blocks, or ok false for a
+// stale node. The caller holds the inode lock.
+//
+// The hint is valid only if the entry at node.EntryOff is still the one
+// relink hooked — same Seq, Block and page count; the same offset may hold
+// a newer entry once thorough GC freed the log page — and a page's image is
+// used only while the page maps the block that image was written to.
 func (e *Engine) collectLocked(in *nova.Inode, node Node, sc *Scratch) (cands []candPage, gen uint64, pin nova.FreePin, ok bool) {
 	// The inode slot or the log page could have been reused since enqueue.
 	// The ownership check must come first — a reclaimed page may already
@@ -360,6 +388,10 @@ func (e *Engine) collectLocked(in *nova.Inode, node Node, sc *Scratch) (cands []
 	if err != nil || we.Ino != node.Ino {
 		return nil, 0, pin, false
 	}
+	imgs := node.Hint.Imgs
+	if node.Hint.Seq != we.Seq || node.Hint.Block != we.Block || len(imgs) != int(we.NumPages) {
+		imgs = nil
+	}
 	cands = sc.cands[:0]
 	for pg := we.PgOff; pg < we.PgOff+uint64(we.NumPages); pg++ {
 		block, entryOff, mapped := in.Mapping(pg)
@@ -367,7 +399,11 @@ func (e *Engine) collectLocked(in *nova.Inode, node Node, sc *Scratch) (cands []
 			atomic.AddInt64(&e.stats.PagesStale, 1)
 			continue // shadowed by a later foreground write
 		}
-		cands = append(cands, candPage{pg: pg, block: block})
+		c := candPage{pg: pg, block: block}
+		if i := pg - we.PgOff; imgs != nil && block == we.Block+i {
+			c.img = imgs[i]
+		}
+		cands = append(cands, c)
 	}
 	sc.cands = cands
 	return cands, in.TreeGenLocked(), e.fs.PinFrees(), true

@@ -23,7 +23,8 @@ type Observer struct {
 	QueueWait   *obs.Histogram // dedup.queue_wait: DWQ residence time
 	Scrub       *obs.Histogram // dedup.scrub
 
-	Enqueues *obs.Counter // dedup.enqueued: write-hook enqueues
+	Enqueues    *obs.Counter // dedup.enqueued: write-hook enqueues
+	PagesHinted *obs.Counter // dedup.pages_hinted: pages hashed from a relink's DRAM image, not read back
 }
 
 // NewObserver resolves the dedup metric set from reg. tracer may be nil.
@@ -40,6 +41,7 @@ func NewObserver(reg *obs.Registry, tracer *obs.Tracer, fine bool) *Observer {
 		QueueWait:   reg.Histogram("dedup.queue_wait"),
 		Scrub:       reg.Histogram("dedup.scrub"),
 		Enqueues:    reg.Counter("dedup.enqueued"),
+		PagesHinted: reg.Counter("dedup.pages_hinted"),
 	}
 }
 

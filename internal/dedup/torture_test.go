@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"denova/internal/fact"
 	"denova/internal/nova"
 	"denova/internal/obs"
 )
@@ -18,7 +19,10 @@ import (
 // multi-worker dedup pipeline: M writer goroutines overwrite and truncate a
 // small set of overlapping files while an N-worker daemon dedups behind
 // them, a GC goroutine forces thorough log GC, and the daemon's own scrub
-// cadence runs the FACT scrubber (which quiesces the pool) mid-flight.
+// cadence runs the FACT scrubber (which quiesces the pool) mid-flight. Half
+// the writers stage their pages and relink them, so the daemon hashes those
+// from their DRAM images; a hook checks each image against the block it
+// stands for.
 //
 // Writers only ever store whole pages drawn from a fixed content pool, so
 // the oracle needs no op-order bookkeeping: at quiescence every file page
@@ -52,6 +56,18 @@ func TestTortureParallelDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 		inodes[i] = in
+	}
+
+	// Every page hashed from a hint image must hash as its block does: read
+	// behind the free-pin that still covers it, unless a forced drain broke
+	// the pin.
+	var hinted atomic.Int64
+	r.engine.hintHashed = func(pin *nova.FreePin, block uint64, fp fact.FP) {
+		hinted.Add(1)
+		buf := make([]byte, ChunkSize)
+		if pin.ReadPinned(block, buf) && Strong(buf) != fp {
+			t.Errorf("block %d does not hold the image its hint gave", block)
+		}
 	}
 
 	d := NewDaemon(r.engine, DaemonConfig{Interval: 0, Workers: nWorkers, ScrubEvery: 8})
@@ -89,7 +105,12 @@ func TestTortureParallelDedup(t *testing.T) {
 					for p := 0; p < npages; p++ {
 						data = append(data, pages(seed)...)
 					}
-					_, err := r.fs.Write(in, uint64(pg)*nova.PageSize, data, nova.FlagNeeded, obs.SpanContext{})
+					var err error
+					if w%2 == 0 {
+						_, err = r.fs.Write(in, uint64(pg)*nova.PageSize, data, nova.FlagNeeded, obs.SpanContext{})
+					} else if _, err = r.fs.StageWrite(in, uint64(pg)*nova.PageSize, data, nova.FlagNeeded, obs.SpanContext{}); err == nil && in.StagedPages() >= 4 {
+						_, err = r.fs.Relink(in)
+					}
 					if err != nil && !errors.Is(err, nova.ErrNoSpace) {
 						t.Errorf("writer %d: write: %v", w, err)
 						return
@@ -107,6 +128,9 @@ func TestTortureParallelDedup(t *testing.T) {
 	wg.Wait()
 	atomic.StoreInt32(&gcStop, 1)
 	gcWg.Wait()
+	if err := r.fs.RelinkAll(); err != nil && !errors.Is(err, nova.ErrNoSpace) {
+		t.Fatalf("relink: %v", err)
+	}
 
 	d.DrainSync()
 	d.Stop()
@@ -115,6 +139,9 @@ func TestTortureParallelDedup(t *testing.T) {
 	}
 	if s := r.engine.Stats(); s.PagesDuplicate == 0 {
 		t.Errorf("no page was ever deduplicated (PagesScanned=%d) — workload broken", s.PagesScanned)
+	}
+	if s := r.engine.Stats(); s.PagesHinted == 0 || s.PagesHinted != hinted.Load() {
+		t.Errorf("%d pages hashed from hint images, %d seen by the hook — staged writers broken", s.PagesHinted, hinted.Load())
 	}
 	// The daemon ran, so reclaim was deferred to it and raced the scrubber:
 	// the allocator's double-free panic is the oracle for ScrubNow's drain.

@@ -19,7 +19,7 @@ func inWindow(t *testing.T, r *rig, node Node, during func()) bool {
 	t.Helper()
 	ran := false
 	r.engine.hashed = func(n Node) {
-		if n == node && !ran {
+		if n.Ino == node.Ino && n.EntryOff == node.EntryOff && !ran {
 			ran = true
 			during()
 		}

@@ -15,8 +15,10 @@ import (
 //	t.ZeroAllUC()               // discard counts of failed transactions
 //	t.Scrub(inUse)              // drop entries whose block was reclaimed
 //
-// On a clean mount only Attach+RecoverStructure run (they also rebuild the
-// DRAM IAA free list, which is never persisted).
+// dedup.Recover runs the whole sequence on every mount, clean or not: a
+// clean image simply gives ZeroAllUC and Scrub nothing to change, though
+// both still sweep the whole table. RecoverStructure also rebuilds the DRAM
+// IAA free list, which is never persisted.
 //
 // All three passes shard their index sweeps across Table.RecoveryWorkers
 // goroutines. Sharding is safe and deterministic because the structure

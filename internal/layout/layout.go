@@ -23,8 +23,6 @@ type Record []byte
 
 func (r Record) U8(off int) uint8         { return r[off] }
 func (r Record) PutU8(off int, v uint8)   { r[off] = v }
-func (r Record) U16(off int) uint16       { return binary.LittleEndian.Uint16(r[off:]) }
-func (r Record) PutU16(off int, v uint16) { binary.LittleEndian.PutUint16(r[off:], v) }
 func (r Record) U32(off int) uint32       { return binary.LittleEndian.Uint32(r[off:]) }
 func (r Record) PutU32(off int, v uint32) { binary.LittleEndian.PutUint32(r[off:], v) }
 func (r Record) U64(off int) uint64       { return binary.LittleEndian.Uint64(r[off:]) }

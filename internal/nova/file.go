@@ -91,7 +91,7 @@ type fileExtent struct {
 	data []byte
 	imgs [][]byte
 
-	block, entryOff uint64
+	block, entryOff, seq uint64
 }
 
 // commitExtentsLocked is the one path by which file data enters an inode
@@ -108,7 +108,9 @@ type fileExtent struct {
 //	④ install each extent's radix mappings and ⑤ reclaim what they shadow,
 //
 // then raise size and mtime and hand each entry to the write hook (the
-// dedup daemon sees one enqueue per extent, not one per staged write). flag
+// dedup daemon sees one enqueue per extent, not one per staged write), an
+// imgs extent's with its images as a PageImages hint: step ② wrote each
+// whole image to its block, so the block holds the image byte for byte. flag
 // is the entries' initial dedupe-flag; t times the steps and carries the
 // span the hook attributes its work to.
 func (fs *FS) commitExtentsLocked(in *Inode, exts []fileExtent, flag uint8, trailer layout.Record, t *opTimer) error {
@@ -146,6 +148,7 @@ func (fs *FS) commitExtentsLocked(in *Inode, exts []fileExtent, flag uint8, trai
 	mtime := fs.tick()
 	for i := range exts {
 		e := &exts[i]
+		e.seq = fs.nextSeq()
 		e.entryOff = fs.append(in, encodeWriteEntry(WriteEntry{
 			DedupeFlag: flag,
 			NumPages:   uint32(e.n),
@@ -154,7 +157,7 @@ func (fs *FS) commitExtentsLocked(in *Inode, exts []fileExtent, flag uint8, trai
 			EndOff:     e.end,
 			Ino:        in.ino,
 			Mtime:      mtime,
-			Seq:        fs.nextSeq(),
+			Seq:        e.seq,
 		}))
 	}
 	if trailer != nil {
@@ -183,7 +186,12 @@ func (fs *FS) commitExtentsLocked(in *Inode, exts []fileExtent, flag uint8, trai
 	atomic.AddInt64(&fs.writes, int64(len(exts)))
 	if fs.onWrite != nil {
 		for i := range exts {
-			fs.onWrite(in, exts[i].entryOff, t.sc)
+			e := &exts[i]
+			var imgs PageImages
+			if e.imgs != nil {
+				imgs = PageImages{Seq: e.seq, Block: e.block, Imgs: e.imgs}
+			}
+			fs.onWrite(in, e.entryOff, imgs, t.sc)
 		}
 	}
 	return nil

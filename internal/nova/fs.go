@@ -21,12 +21,28 @@ type BlockReleaser interface {
 }
 
 // WriteHook is invoked after a write entry has been committed, with the
-// inode, the entry's device offset, and the span context of the write that
+// inode, the entry's device offset, the entry's page images when they were
+// in DRAM (see PageImages), and the span context of the write that
 // committed it (zero when the op is untraced). DeNOVA uses it to enqueue
 // the entry on the deduplication work queue; the context makes the async
 // dedup work attributable to the originating request and tenant. It is
 // called with the inode lock held.
-type WriteHook func(ino *Inode, entryOff uint64, sc obs.SpanContext)
+type WriteHook func(ino *Inode, entryOff uint64, imgs PageImages, sc obs.SpanContext)
+
+// PageImages is a DRAM-only hint that comes with a relinked entry: the
+// staging buffer's page images its pages were filled from, so a consumer
+// can fingerprint them without reading the blocks back. Imgs[i] holds,
+// byte for byte, what block Block+i received for file page PgOff+i. The
+// hint is good only while the entry at the hooked offset still carries
+// Seq, Block and len(Imgs) pages: thorough GC frees log pages, and the
+// inode can reuse one for a newer entry at the same offset. Relink hands
+// the images over: nothing writes to them after the hook. Only relinked
+// extents carry images; the zero value (slow-path writes, truncate's tail
+// remap, GC re-enqueues) carries none.
+type PageImages struct {
+	Seq, Block uint64
+	Imgs       [][]byte
+}
 
 // FS is a mounted NOVA-like file system instance.
 type FS struct {

@@ -230,7 +230,7 @@ func (fs *FS) thoroughGCLocked(in *Inode) (reclaimedPages int) {
 	if fs.onWrite != nil {
 		for _, p := range placeds {
 			if p.flag == FlagNeeded {
-				fs.onWrite(in, p.newOff, obs.SpanContext{})
+				fs.onWrite(in, p.newOff, PageImages{}, obs.SpanContext{})
 			}
 		}
 	}

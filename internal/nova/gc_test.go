@@ -233,7 +233,7 @@ func TestThoroughGCReenqueuesDedupeNeeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.SetWriteHook(func(in *Inode, off uint64, _ obs.SpanContext) {
+	fs.SetWriteHook(func(in *Inode, off uint64, _ PageImages, _ obs.SpanContext) {
 		enqueued = append(enqueued, off)
 	})
 	in, _ := fs.Create("f")

@@ -965,7 +965,7 @@ func TestWriteHookFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.SetWriteHook(func(in *Inode, off uint64, _ obs.SpanContext) {
+	fs.SetWriteHook(func(in *Inode, off uint64, _ PageImages, _ obs.SpanContext) {
 		mu.Lock()
 		hooks = append(hooks, off)
 		mu.Unlock()

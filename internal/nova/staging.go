@@ -44,7 +44,9 @@ func newStageBuf() *stageBuf {
 }
 
 // reset empties the buffer once its pages are relinked or discarded. st.mu
-// held.
+// held. It drops the buffer's references to the page images rather than
+// reusing them: relinked images now belong to the write hook's PageImages
+// hint, and nothing writes to them again.
 func (st *stageBuf) reset() {
 	st.pages = make(map[uint64][]byte)
 	st.size = 0

@@ -1,7 +1,6 @@
 package pmem
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -198,21 +197,17 @@ func (c charge) wait() {
 // at the call's entry; time the caller spent since then is not waited
 // again. It deliberately avoids time.Sleep, whose granularity (≥ ~50 µs
 // under most schedulers) is three orders of magnitude coarser than media
-// latencies. A long wait yields the processor once: a goroutine stalled on
-// the device is not consuming a CPU, so on machines with fewer cores than
-// goroutines the background daemon's compute must be able to overlap with
-// foreground device waits — exactly as it would across cores on the
-// paper's 40-core testbed.
+// latencies. It never yields: a device wait holds its processor to the
+// deadline, as a load or a store stalled on the media holds its core. A
+// yield inside the wait would be simulator host time, not modelled time,
+// and would hand the caller's P to whichever goroutine the scheduler woke:
+// on a 2-core host the dedup worker then takes a foreground appender's P
+// at its next page-sized wait and holds it for a whole node. The dedup
+// worker yields between batches instead. The cost: with fewer CPUs
+// than busy goroutines, background compute overlaps foreground device waits
+// only where Go's asynchronous preemption (every ~10 ms) moves it, not as
+// it would across the paper's 40 cores.
 func spinWait(start, dur time.Duration) {
-	// Short waits (metadata flushes, fences, single-line reads) only spin:
-	// a Gosched can cost ~1 µs on virtualized single-CPU hosts, which would
-	// swamp a 70 ns flush. A long wait (a page transfer) yields once and then
-	// spins to its deadline. Yielding on every poll instead charged the
-	// host's scheduler for each one — simulator overhead the modelled
-	// machine does not have: a fifth of a run's CPU in runtime.gosched_m.
-	if dur >= 2*time.Microsecond {
-		runtime.Gosched()
-	}
 	for clock()-start < dur {
 	}
 }

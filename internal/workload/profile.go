@@ -26,13 +26,13 @@ import (
 type OpKind uint8
 
 const (
-	OpCreate OpKind = iota
-	OpWrite         // overwrite Size bytes at offset 0
-	OpAppend        // write Size bytes at the current end of file
-	OpRead          // read Size bytes at Off
-	OpStat          // metadata lookup (size check)
-	OpDelete        // unlink
-	OpTruncate      // shrink to Size bytes
+	OpCreate   OpKind = iota
+	OpWrite           // overwrite Size bytes at offset 0
+	OpAppend          // write Size bytes at the current end of file
+	OpRead            // read Size bytes at Off
+	OpStat            // metadata lookup (size check)
+	OpDelete          // unlink
+	OpTruncate        // shrink to Size bytes
 	numOpKinds
 )
 
@@ -456,8 +456,8 @@ func (g *PayloadGen) Data(op Op) []byte {
 func Fileserver(numOps int) Profile {
 	return Profile{
 		Name: "fileserver", FilesPerTenant: 64, MaxFileChunks: 16, AppendChunks: 2,
-		NumOps: numOps,
-		Mix:    Mix{Write: 18, Append: 18, Read: 34, Stat: 14, Delete: 10, Truncate: 6},
+		NumOps:   numOps,
+		Mix:      Mix{Write: 18, Append: 18, Read: 34, Stat: 14, Delete: 10, Truncate: 6},
 		DupRatio: 0.25, ZipfFiles: true, UnalignedOneIn: 8, Seed: 101,
 	}
 }
@@ -467,8 +467,8 @@ func Fileserver(numOps int) Profile {
 func Varmail(numOps int) Profile {
 	return Profile{
 		Name: "varmail", FilesPerTenant: 128, MaxFileChunks: 4, AppendChunks: 1,
-		NumOps: numOps,
-		Mix:    Mix{Write: 8, Append: 34, Read: 30, Stat: 8, Delete: 18, Truncate: 2},
+		NumOps:   numOps,
+		Mix:      Mix{Write: 8, Append: 34, Read: 30, Stat: 8, Delete: 18, Truncate: 2},
 		DupRatio: 0.4, Seed: 102,
 	}
 }
@@ -478,8 +478,8 @@ func Varmail(numOps int) Profile {
 func Webproxy(numOps int) Profile {
 	return Profile{
 		Name: "webproxy", FilesPerTenant: 96, MaxFileChunks: 8, AppendChunks: 2,
-		NumOps: numOps,
-		Mix:    Mix{Write: 12, Append: 4, Read: 66, Stat: 12, Delete: 4, Truncate: 2},
+		NumOps:   numOps,
+		Mix:      Mix{Write: 12, Append: 4, Read: 66, Stat: 12, Delete: 4, Truncate: 2},
 		DupRatio: 0.6, ZipfFiles: true, ZipfChunks: true, Seed: 103,
 	}
 }
@@ -491,8 +491,8 @@ func Webproxy(numOps int) Profile {
 func BackupIngest(numOps int) Profile {
 	return Profile{
 		Name: "backup-ingest", FilesPerTenant: 8, MaxFileChunks: 64, AppendChunks: 4,
-		NumOps: numOps,
-		Mix:    Mix{Write: 2, Append: 86, Read: 2, Stat: 6, Delete: 4},
+		NumOps:   numOps,
+		Mix:      Mix{Write: 2, Append: 86, Read: 2, Stat: 6, Delete: 4},
 		DupRatio: 0.75, VerifyEvery: 1, Seed: 104,
 	}
 }
