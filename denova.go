@@ -288,8 +288,9 @@ type RecoveryInfo struct {
 	GCPages int
 	// Passes is the full mount timeline: the nova passes (inode-scan,
 	// namespace, log-replay, alloc-rebuild, repairs, log-gc) followed by
-	// the dedup recovery phases (fact-structure, dedup-resume, zero-uc,
-	// fact-scrub, dwq-rebuild).
+	// the dedup recovery passes (fact-chains, dedup-resume, fact-sweep,
+	// dwq-rebuild); a ModeNone mount follows the nova passes with
+	// fact-chains alone.
 	Passes []RecoveryPass
 	// Dedup carries the §V-C dedup recovery report (zero value for
 	// ModeNone).
@@ -328,15 +329,14 @@ func Mount(dev *Device, cfg Config) (*FS, *RecoveryInfo, error) {
 	table := fact.Attach(dev, factConfig(nfs.Geo))
 	table.RecoveryWorkers = cfg.Workers
 	if cfg.Mode == ModeNone {
-		start := time.Now()
-		before := dev.Stats()
-		table.RecoverStructure()
-		info.Passes = append(info.Passes, RecoveryPass{
-			Name: "fact-structure",
-			Wall: time.Since(start),
-			Pmem: dev.Stats().Sub(before),
+		// The chain walk alone finds every live entry; the table's other
+		// repairs wait for the next dedup-mode mount.
+		var empty bool
+		_ = nova.TimePass(dev, &info.Passes, "fact-chains", func() error {
+			empty = table.WalkChains().Empty()
+			return nil
 		})
-		if table.LiveEntries() > 0 {
+		if !empty {
 			return nil, nil, fmt.Errorf("denova: device holds deduplicated data; mount with a dedup mode, not ModeNone")
 		}
 		f.initObs()
@@ -348,7 +348,9 @@ func Mount(dev *Device, cfg Config) (*FS, *RecoveryInfo, error) {
 	f.table = table
 	f.engine = dedup.NewEngine(nfs, f.table)
 	f.initObs()
-	info.Dedup = dedup.Recover(f.engine, scan)
+	if info.Dedup, err = dedup.Recover(f.engine, scan); err != nil {
+		return nil, nil, err
+	}
 	info.Passes = append(info.Passes, info.Dedup.Passes...)
 	f.feedRecovery(info)
 	f.recovery = info

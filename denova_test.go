@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"denova/internal/fact"
 	"denova/internal/pmem"
 )
 
@@ -503,5 +504,37 @@ func TestParseMode(t *testing.T) {
 	}
 	if _, err := ParseMode("denova-immediate"); !errors.Is(err, ErrInvalid) {
 		t.Errorf("ParseMode of an unknown name: err = %v, want ErrInvalid", err)
+	}
+}
+
+// TestMountRefusesStrandedFactEntry cuts a FACT chain on a clean image, so
+// an IAA entry whose block files still map is no longer reachable. Mount
+// must refuse the image: clearing the entry as an orphan would let a later
+// delete free that block under another file.
+func TestMountRefusesStrandedFactEntry(t *testing.T) {
+	dev, fs := mkFS(t, Config{Mode: ModeImmediate})
+	var seeds []byte
+	for s := 1; s < 256; s++ {
+		seeds = append(seeds, byte(s))
+	}
+	writeAll(t, fs, "a", npages(seeds...))
+	writeAll(t, fs, "b", npages(seeds...))
+	fs.Sync()
+	var head int64 = -1
+	for p := int64(0); p < fs.table.DAAEntries() && head < 0; p++ {
+		if len(fs.table.ChainOf(uint64(p))) > 1 {
+			head = p
+		}
+	}
+	if head < 0 {
+		t.Fatal("no FACT chain has an IAA member")
+	}
+	const nextWord = 24 // an entry's next pointer (fact's on-PM layout)
+	off := fs.fs.Geo.FactOff + head*fact.EntrySize + nextWord
+	fs.Unmount()
+	dev.Store64(off, fact.None)
+	dev.Persist(off, 8)
+	if _, _, err := Mount(dev, Config{Mode: ModeImmediate}); err == nil {
+		t.Fatal("Mount accepted a FACT entry that holds references but no chain reaches")
 	}
 }

@@ -476,7 +476,7 @@ func (e *Engine) ScrubNow() (dropped int) {
 		in.Unlock()
 	})
 	e.fs.DrainReclaim()
-	_, blocks := e.table.Scrub(func(b uint64) bool { return inUse[b] })
+	blocks := e.table.Scrub(func(b uint64) bool { return inUse[b] })
 	for _, b := range blocks {
 		// The entry held the block hostage (RFC over-increment); with the
 		// entry gone the page returns to the free list.

@@ -64,7 +64,10 @@ func attachRig(t testing.TB, dev *pmem.Device) (*rig, RecoveryReport) {
 		NumData:    fs.Geo.NumDataBlocks,
 	})
 	engine := NewEngine(fs, table)
-	rep := Recover(engine, scan)
+	rep, err := Recover(engine, scan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &rig{dev: dev, fs: fs, table: table, engine: engine}, rep
 }
 

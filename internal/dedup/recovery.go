@@ -1,11 +1,8 @@
 package dedup
 
 import (
-	"time"
-
 	"denova/internal/fact"
 	"denova/internal/nova"
-	"denova/internal/pmem"
 )
 
 // RecoveryReport summarizes the dedup-level recovery of §V-C.
@@ -30,91 +27,81 @@ type RecoveryReport struct {
 	Passes []nova.RecoveryPass
 }
 
-// timedPhase runs fn and appends its wall-clock and device-counter cost to
-// rep.Passes.
-func timedPhase(dev *pmem.Device, rep *RecoveryReport, name string, fn func()) {
-	start := time.Now()
-	before := dev.Stats()
-	fn()
-	rep.Passes = append(rep.Passes, nova.RecoveryPass{
-		Name: name,
-		Wall: time.Since(start),
-		Pmem: dev.Stats().Sub(before),
-	})
-}
-
 // Recover brings the dedup state machine up after a mount, in the order
-// the paper's failure analysis requires:
+// the paper's failure analysis requires. Each step is one pass of the
+// mount timeline:
 //
-//  1. FACT structural repair (chains, commit flags, free list, delete
-//     pointers).
-//  2. Resume in-process entries from step ⑥: transfer their pending UCs to
-//     RFCs and advance their flags to dedupe_complete (Handling II). The
-//     per-entry UC>0 guard makes re-application after a crash-during-
-//     recovery idempotent.
-//  3. Discard all remaining UCs — they belong to transactions that never
-//     reached the log commit (Handling II, second half).
-//  4. Scrub FACT entries whose blocks the recovered free list reclaimed
-//     (§V-C2).
-//  5. Rebuild the DWQ: from the clean-shutdown snapshot when one is valid,
+//   - fact-chains: FACT chain repair (commit flags, prevs, ghosts) and the
+//     live set (fact.Table.WalkChains).
+//   - dedup-resume: read the in-process write entries (Handling II) and
+//     count their page references per block.
+//   - fact-sweep: one sweep of the FACT (fact.Table.Sweep) that clears
+//     orphans, rebuilds the free list and the delete pointers, resumes
+//     each live entry's counted transactions from step ⑥ by moving them
+//     into its RFC, discards the UCs of transactions that never reached
+//     the log commit, and scrubs entries whose block the recovered free
+//     list reclaimed (§V-C2); then the resumed entries advance to
+//     dedupe_complete. A table the sweep finds corrupt (an unreachable
+//     entry still holding references) fails the recovery here. The flags
+//     move only after the counts are durable, and the sweep moves at most
+//     the pending UC, so a crash during recovery resumes nothing twice.
+//   - dwq-rebuild: from the clean-shutdown snapshot when one is valid,
 //     otherwise from the dedupe_needed entries found by the log scan
 //     (Handling I/III).
-func Recover(e *Engine, scan *nova.ScanResult) RecoveryReport {
+func Recover(e *Engine, scan *nova.ScanResult) (RecoveryReport, error) {
 	var rep RecoveryReport
 	fs, table := e.fs, e.table
+	pass := func(name string, fn func()) {
+		_ = nova.TimePass(fs.Dev, &rep.Passes, name, func() error { fn(); return nil })
+	}
 
-	// (1) Structure.
-	timedPhase(fs.Dev, &rep, "fact-structure", func() {
-		rep.Fact = table.RecoverStructure()
-	})
+	var chains *fact.Chains
+	pass("fact-chains", func() { chains = table.WalkChains() })
 
-	// (2) Resume in-process transactions.
-	timedPhase(fs.Dev, &rep, "dedup-resume", func() {
+	var resumed []uint64 // device offsets of the resumed write entries
+	refs := make(map[uint64]int)
+	pass("dedup-resume", func() {
 		for _, ref := range scan.InProcess {
-			in, ok := fs.Inode(ref.Ino)
-			if !ok {
+			if _, ok := fs.Inode(ref.Ino); !ok {
 				continue // the file was an orphan; its blocks are gone
 			}
-			func() {
-				in.Lock()
-				defer in.Unlock()
-				we, err := nova.ReadWriteEntry(fs.Dev, ref.Off)
-				if err == nil && we.Ino == ref.Ino && we.DedupeFlag == nova.FlagInProcess {
-					// Step ⑥ resumed: commit the pending count of each data page
-					// this entry references. For a target entry, unique pages hold
-					// their own FACT entries and duplicate pages' original blocks
-					// have none (their canonical counterparts are committed through
-					// the appended one-page entries, which are in this list too).
-					for i := uint64(0); i < uint64(we.NumPages); i++ {
-						table.CommitTxnByBlock(we.Block + i)
-					}
-					nova.SetDedupeFlag(fs.Dev, ref.Off, nova.FlagComplete)
-					rep.Resumed++
-				}
-			}()
+			we, err := nova.ReadWriteEntry(fs.Dev, ref.Off)
+			if err != nil || we.Ino != ref.Ino || we.DedupeFlag != nova.FlagInProcess {
+				continue
+			}
+			// For a target entry, unique pages hold their own FACT entries
+			// and duplicate pages' original blocks have none (their
+			// canonical counterparts are counted through the appended
+			// one-page entries, which are in this list too).
+			for i := range uint64(we.NumPages) {
+				refs[we.Block+i]++
+			}
+			resumed = append(resumed, ref.Off)
 		}
 	})
 
-	// (3) Discard the counts of transactions that never committed.
-	timedPhase(fs.Dev, &rep, "zero-uc", func() {
-		zs := table.ZeroAllUC()
-		rep.Fact.UCsDiscarded = zs.UCsDiscarded
-		rep.Fact.EntriesDropped += zs.EntriesDropped
-	})
-
-	// (4) Scrub against the recovered block usage. Blocks dropped here are
-	// already free in the rebuilt allocator (they were absent from the
-	// usage bitmap), so no free-list action is needed.
-	timedPhase(fs.Dev, &rep, "fact-scrub", func() {
-		ss, _ := table.Scrub(func(b uint64) bool {
+	// Blocks the scrub drops are already free in the rebuilt allocator
+	// (they were absent from the usage bitmap), so no free-list action is
+	// needed.
+	err := nova.TimePass(fs.Dev, &rep.Passes, "fact-sweep", func() (err error) {
+		rep.Fact, rep.ScrubDropped, err = table.Sweep(chains, refs, func(b uint64) bool {
 			idx := int64(b) - int64(fs.Geo.DataStartBlock)
 			return idx >= 0 && idx < int64(len(scan.UsedBlocks)) && scan.UsedBlocks[idx]
 		})
-		rep.ScrubDropped = ss.EntriesDropped
+		if err != nil {
+			return err
+		}
+		for _, off := range resumed {
+			nova.SetDedupeFlag(fs.Dev, off, nova.FlagComplete)
+		}
+		rep.Resumed = len(resumed)
+		return nil
 	})
+	if err != nil {
+		return rep, err
+	}
 
-	// (5) Rebuild the queue.
-	timedPhase(fs.Dev, &rep, "dwq-rebuild", func() {
+	pass("dwq-rebuild", func() {
 		if scan.Clean && !scan.DWQOverflow {
 			if n, err := e.dwq.Restore(fs.Dev, fs.Geo.DWQSaveOff, fs.Geo.DWQSavePages); err == nil {
 				rep.RestoredFromSnapshot = true
@@ -131,7 +118,7 @@ func Recover(e *Engine, scan *nova.ScanResult) RecoveryReport {
 		Invalidate(fs.Dev, fs.Geo.DWQSaveOff)
 		nova.SetDWQOverflowFlag(fs.Dev, false)
 	})
-	return rep
+	return rep, nil
 }
 
 // SaveDWQ persists the queue at clean unmount and raises the overflow flag

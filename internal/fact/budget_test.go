@@ -196,6 +196,5 @@ func TestTortureDeletePointerInvariant(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	tab.ZeroAllUC()
 	checkInv(t, tab)
 }

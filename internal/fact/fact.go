@@ -87,9 +87,9 @@ type Table struct {
 	DepthThreshold int
 	RFCThreshold   uint32
 
-	// RecoveryWorkers is the pool size for the mount-time recovery sweeps
-	// (RecoverStructure / ZeroAllUC / Scrub); <= 0 runs them sequentially.
-	// Any value produces the same persistent image (see recover.go).
+	// RecoveryWorkers is the pool size for the two mount-time recovery
+	// calls, WalkChains and Sweep; <= 0 runs them sequentially. Any value
+	// produces the same persistent image (see recover.go).
 	RecoveryWorkers int
 
 	reorders reorderQueue
@@ -132,9 +132,6 @@ func (t *Table) DAAEntries() int64 { return t.daa }
 
 // TotalEntries returns the total slot count (DAA + IAA).
 func (t *Table) TotalEntries() int64 { return t.total }
-
-// PrefixBits returns n.
-func (t *Table) PrefixBits() int { return t.prefixBits }
 
 // PrefixOf returns the DAA index for a fingerprint: its first n bits.
 func (t *Table) PrefixOf(fp FP) uint64 {
@@ -218,7 +215,30 @@ func (e Entry) occupied() bool { return e.RFC|e.UC != 0 }
 func (t *Table) EntryAt(idx uint64) Entry {
 	var line [EntrySize]byte
 	t.dev.LoadLine(t.entryOff(idx), &line)
-	rec := layout.Record(line[:])
+	return decodeEntry(idx, line[:])
+}
+
+// runLines caps how many entry lines one eachEntry read fetches.
+const runLines = 64
+
+// eachEntry calls fn with a snapshot of every entry in [lo, hi), ascending,
+// reading the lines in runs of up to runLines. Every snapshot of a run is
+// taken before fn sees the first of them, so fn may write the entry it is
+// handed but must not write one later in the run.
+func (t *Table) eachEntry(lo, hi int64, fn func(e Entry)) {
+	var lines [runLines * EntrySize]byte
+	for ; lo < hi; lo += runLines {
+		n := min(hi-lo, runLines)
+		t.dev.LoadLines(t.entryOff(uint64(lo)), int(n), lines[:])
+		for i := range n {
+			fn(decodeEntry(uint64(lo+i), lines[i*EntrySize:]))
+		}
+	}
+}
+
+// decodeEntry decodes entry idx from its line image.
+func decodeEntry(idx uint64, line []byte) Entry {
+	rec := layout.Record(line)
 	e := Entry{
 		Idx:    idx,
 		RFC:    rec.U32(feRFC),
@@ -232,10 +252,22 @@ func (t *Table) EntryAt(idx uint64) Entry {
 	return e
 }
 
+// inData reports whether block lies in the data region, i.e. owns a
+// delete-pointer slot.
+func (t *Table) inData(block uint64) bool {
+	return block >= t.dataStart && int64(block-t.dataStart) < t.numData
+}
+
+// inIAA reports whether idx names an IAA slot, the only slots a chain link
+// may point at.
+func (t *Table) inIAA(idx uint64) bool {
+	return int64(idx) >= t.daa && int64(idx) < t.total
+}
+
 // relBlock converts an absolute block number to the delete-pointer slot
 // index. Panics if the block is outside the data region.
 func (t *Table) relBlock(block uint64) uint64 {
-	if block < t.dataStart || int64(block-t.dataStart) >= t.numData {
+	if !t.inData(block) {
 		panic(fmt.Sprintf("fact: block %d outside data region", block))
 	}
 	return block - t.dataStart

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"denova/internal/pmem"
 )
@@ -52,6 +54,18 @@ func mustBegin(t *testing.T, tab *Table, fp FP, block uint64) TxnResult {
 func decRef(tab *Table, block uint64) (freed bool) {
 	tab.DecRefBatch([]uint64{block}, func(uint64) { freed = true })
 	return freed
+}
+
+// recoverAll runs both recovery calls with no resumed transaction and
+// every block in use: chain repair, orphans, free list, delete pointers and
+// the UC discard.
+func recoverAll(t testing.TB, tab *Table) RecoverStats {
+	t.Helper()
+	rs, _, err := tab.Sweep(tab.WalkChains(), nil, func(uint64) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
 }
 
 func checkInv(t *testing.T, tab *Table) {
@@ -410,7 +424,7 @@ func TestReorderCrashSweep(t *testing.T) {
 		}
 		img := dev.CrashImage(pmem.CrashDropDirty, k)
 		rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-		rt.RecoverStructure()
+		recoverAll(t, rt)
 		if err := rt.CheckInvariants(); err != nil {
 			t.Fatalf("k=%d: invariants violated after recovery: %v", k, err)
 		}
@@ -470,8 +484,7 @@ func TestInsertCrashSweep(t *testing.T) {
 				}
 				img := dev.CrashImage(m.mode, m.seed)
 				rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-				rt.RecoverStructure()
-				rt.ZeroAllUC()
+				recoverAll(t, rt)
 				if err := rt.CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
@@ -501,7 +514,7 @@ func TestZeroAllUCDropsUncommitted(t *testing.T) {
 	c := mustBegin(t, tab, fpWithPrefix(2, 1), tDataStart+3) // dup txn, uncommitted
 	_ = a
 	_ = c
-	rs := tab.ZeroAllUC()
+	rs := recoverAll(t, tab)
 	if rs.UCsDiscarded != 2 {
 		t.Fatalf("UCsDiscarded = %d, want 2", rs.UCsDiscarded)
 	}
@@ -521,9 +534,9 @@ func TestScrubDropsFreedBlocks(t *testing.T) {
 	tab.CommitTxn(a.Idx)
 	b := mustBegin(t, tab, fpWithPrefix(2, 1), tDataStart+2)
 	tab.CommitTxn(b.Idx)
-	rs, dropped := tab.Scrub(func(block uint64) bool { return block == tDataStart+1 })
-	if rs.EntriesDropped != 1 || len(dropped) != 1 || dropped[0] != tDataStart+2 {
-		t.Fatalf("scrub: %+v dropped=%v", rs, dropped)
+	dropped := tab.Scrub(func(block uint64) bool { return block == tDataStart+1 })
+	if len(dropped) != 1 || dropped[0] != tDataStart+2 {
+		t.Fatalf("scrub dropped %v, want [%d]", dropped, tDataStart+2)
 	}
 	if tab.LiveEntries() != 1 {
 		t.Fatalf("LiveEntries = %d", tab.LiveEntries())
@@ -540,7 +553,7 @@ func TestRecoverStructureRebuildsIAAFreeList(t *testing.T) {
 	}
 	img := dev.CrashImage(pmem.CrashKeepDirty, 0)
 	rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-	rt.RecoverStructure()
+	recoverAll(t, rt)
 	if got, want := rt.IAAFree(), int(rt.DAAEntries())-4; got != want {
 		t.Fatalf("IAAFree = %d, want %d", got, want)
 	}
@@ -787,8 +800,7 @@ func TestRemoveCrashSweep(t *testing.T) {
 				pmem.RunToCrash(func() { decRef(tab, tDataStart+uint64(victim)) })
 				img := dev.CrashImage(m.mode, m.seed)
 				rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-				rt.RecoverStructure()
-				rt.ZeroAllUC()
+				recoverAll(t, rt)
 				if err := rt.CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
@@ -860,7 +872,7 @@ func TestRecoverStructureTruncatesCycle(t *testing.T) {
 
 	img := dev.CrashImage(pmem.CrashKeepDirty, 0)
 	rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-	rt.RecoverStructure() // must terminate
+	recoverAll(t, rt) // must terminate
 	chain := rt.ChainOf(5)
 	if len(chain) != 3 {
 		t.Fatalf("chain after cycle truncation = %v, want the 3 real members", chain)
@@ -887,64 +899,210 @@ func TestRecoverStructureSelfCycle(t *testing.T) {
 
 	img := dev.CrashImage(pmem.CrashKeepDirty, 0)
 	rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-	rt.RecoverStructure()
+	recoverAll(t, rt)
 	if chain := rt.ChainOf(9); len(chain) != 2 {
 		t.Fatalf("chain = %v, want head + 1 member", chain)
 	}
 	checkInv(t, rt)
 }
 
-// TestRecoveryWorkersDeterministic runs the full recovery sequence over
-// clones of one messy image with 1 and 8 workers: the stats and the
-// resulting persistent image must match exactly.
+// TestRecoveryWorkersDeterministic runs both recovery calls over clones of
+// one messy image with 1 and 8 workers: the stats and the resulting
+// persistent image must match exactly.
 func TestRecoveryWorkersDeterministic(t *testing.T) {
 	t.Parallel()
 	dev, tab := newTable(t)
 	// A mix of committed entries, chains, open transactions (UC>0, some
-	// with RFC 0), and removed entries.
-	var openIdx []uint64
+	// with RFC 0), and removed entries; half the re-referenced blocks are
+	// resumed, so the sweep both moves and discards update counts.
+	resumed := map[uint64]int{}
 	for p := uint64(0); p < 8; p++ {
 		for i := byte(1); i <= 4; i++ {
 			block := tDataStart + uint64(p*8) + uint64(i)
 			res := mustBegin(t, tab, fpWithPrefix(p, i), block)
 			switch i % 3 {
 			case 0: // left open: UC discarded at recovery, RFC 0 -> dropped
-				openIdx = append(openIdx, res.Idx)
 			case 1:
 				tab.CommitTxn(res.Idx)
 			case 2: // committed then re-referenced, left with a pending UC
 				tab.CommitTxn(res.Idx)
-				if res2, err := tab.BeginTxn(fpWithPrefix(p, i), block); err == nil && res2.Dup {
-					_ = res2
+				mustBegin(t, tab, fpWithPrefix(p, i), block)
+				if p%2 == 0 {
+					resumed[block] = 1
 				}
 			}
 		}
 	}
-	_ = openIdx
 
-	img1 := dev.Clone().CrashImage(pmem.CrashKeepDirty, 0)
-	img8 := dev.Clone().CrashImage(pmem.CrashKeepDirty, 0)
-	run := func(img *pmem.Device, workers int) (RecoverStats, []byte) {
+	run := func(workers int) (RecoverStats, int, []byte) {
+		img := dev.Clone().CrashImage(pmem.CrashKeepDirty, 0)
 		rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
 		rt.RecoveryWorkers = workers
-		rs := rt.RecoverStructure()
-		zs := rt.ZeroAllUC()
-		rs.add(zs)
-		ss, _ := rt.Scrub(func(b uint64) bool { return b%2 == 0 }) // drop odd blocks
-		rs.add(ss)
-		if err := rt.CheckInvariants(); err != nil {
+		rs, scrubbed, err := rt.Sweep(rt.WalkChains(), resumed, func(b uint64) bool { return b%2 == 0 }) // drop odd blocks
+		if err == nil {
+			err = rt.CheckInvariants()
+		}
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		buf := make([]byte, img.Size())
 		img.Read(0, buf)
-		return rs, buf
+		return rs, scrubbed, buf
 	}
-	rs1, b1 := run(img1, 1)
-	rs8, b8 := run(img8, 8)
-	if rs1 != rs8 {
-		t.Errorf("RecoverStats diverge:\n 1: %+v\n 8: %+v", rs1, rs8)
+	rs1, sc1, b1 := run(1)
+	rs8, sc8, b8 := run(8)
+	if rs1 != rs8 || sc1 != sc8 {
+		t.Errorf("RecoverStats diverge:\n 1: %+v scrubbed %d\n 8: %+v scrubbed %d", rs1, sc1, rs8, sc8)
+	}
+	if rs1.UCsDiscarded == 0 || rs1.EntriesDropped == 0 || sc1 == 0 {
+		t.Errorf("image exercises too little: %+v scrubbed %d", rs1, sc1)
 	}
 	if !bytes.Equal(b1, b8) {
 		t.Error("post-recovery FACT images differ between 1 and 8 workers")
+	}
+}
+
+// within fails the test if fn does not return within a few seconds: a
+// recovery walk that follows a pointer cycle forever must show up as a
+// failure, not as a hung test binary.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not terminate", what)
+	}
+}
+
+// TestRecoverReorderBounded crafts raised commit flags whose walks leave
+// the IAA or cycle. Recovery must terminate without a panic, lower the flag
+// and keep the head. A member the truncated chain no longer reaches still
+// holds its reference (RFC 1), so the sweep must leave it as it is, keep it
+// off the free list and fail; otherwise the table must be consistent.
+func TestRecoverReorderBounded(t *testing.T) {
+	t.Parallel()
+	const p = 20
+	for _, tc := range []struct {
+		name string
+		// corrupt gets the chain's IAA members in order.
+		corrupt func(tab *Table, m []uint64)
+		keep    int // members the chain still reaches; the rest are stranded
+	}{
+		{"flag past the table", func(tab *Table, m []uint64) {
+			tab.setPrev(p, uint64(tab.TotalEntries())+5)
+		}, 3},
+		{"flag names another head", func(tab *Table, m []uint64) {
+			tab.setPrev(p, p+1)
+		}, 3},
+		{"phase 1 next cycle", func(tab *Table, m []uint64) {
+			tab.setPrev(p, p)
+			tab.setNext(m[2], m[0])
+		}, 3},
+		{"phase 2 prev cycle", func(tab *Table, m []uint64) {
+			tab.setPrev(p, m[2])
+			tab.setPrev(m[1], m[2]) // m[2] -> m[1] -> m[2]: never back to the head
+		}, 2},
+		{"phase 2 prev past the table", func(tab *Table, m []uint64) {
+			tab.setPrev(p, m[2])
+			tab.setPrev(m[2], uint64(tab.TotalEntries()))
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev, tab := newTable(t)
+			var members []uint64
+			for i := byte(1); i <= 4; i++ {
+				res := mustBegin(t, tab, fpWithPrefix(p, i), tDataStart+uint64(i))
+				tab.CommitTxn(res.Idx)
+				if res.Idx != p {
+					members = append(members, res.Idx)
+				}
+			}
+			tc.corrupt(tab, members)
+			rt := Attach(dev.CrashImage(pmem.CrashKeepDirty, 0), Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
+			var rs RecoverStats
+			var err error
+			within(t, "recovery", func() {
+				rs, _, err = rt.Sweep(rt.WalkChains(), nil, func(uint64) bool { return true })
+			})
+			if rs.ReordersResumed != 1 {
+				t.Errorf("ReordersResumed = %d, want 1", rs.ReordersResumed)
+			}
+			chain := rt.ChainOf(p)
+			if len(chain) != 1+tc.keep {
+				t.Errorf("chain = %v, want the head and %d members", chain, tc.keep)
+			}
+			if _, _, ok := rt.Lookup(fpWithPrefix(p, 1)); !ok {
+				t.Error("the head's entry was lost")
+			}
+			reached := map[uint64]bool{}
+			for _, idx := range chain {
+				reached[idx] = true
+			}
+			stranded := 0
+			for _, m := range members {
+				if reached[m] {
+					continue
+				}
+				stranded++
+				if e := rt.EntryAt(m); e.RFC != 1 || e.FP != tab.EntryAt(m).FP {
+					t.Errorf("stranded entry %d was changed: %+v", m, e)
+				}
+				if slices.Contains(rt.iaaFree, m) {
+					t.Errorf("stranded entry %d is on the free list", m)
+				}
+			}
+			if stranded != 3-tc.keep {
+				t.Errorf("%d members stranded, want %d", stranded, 3-tc.keep)
+			}
+			if rs.Stranded != stranded || (err != nil) != (stranded > 0) {
+				t.Errorf("Sweep reports %d stranded and error %v; %d members are stranded", rs.Stranded, err, stranded)
+			}
+			if stranded == 0 {
+				checkInv(t, rt)
+			}
+		})
+	}
+}
+
+// TestWalkChainsBlockOutsideDataRegion crafts occupied entries — a DAA
+// head and an IAA member — whose block lies outside the data region, as a
+// corrupt image can hold. Recovery must not panic: both are unlinked as
+// ghosts, the head staying in place as the chain's anchor, and the chain's
+// other entries survive.
+func TestWalkChainsBlockOutsideDataRegion(t *testing.T) {
+	t.Parallel()
+	const p = 7
+	dev, tab := newTable(t)
+	var idx []uint64
+	for i := byte(1); i <= 4; i++ {
+		res := mustBegin(t, tab, fpWithPrefix(p, i), tDataStart+uint64(i))
+		tab.CommitTxn(res.Idx)
+		idx = append(idx, res.Idx)
+	}
+	for _, c := range []struct{ idx, block uint64 }{{idx[0], 0}, {idx[2], tDataStart + tNumData}} {
+		off := tab.entryOff(c.idx) + feBlock
+		dev.Store64(off, c.block)
+		dev.Persist(off, 8)
+	}
+	rt := Attach(dev.CrashImage(pmem.CrashKeepDirty, 0), Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
+	if rs := recoverAll(t, rt); rs.GhostsUnlinked != 2 {
+		t.Errorf("GhostsUnlinked = %d, want 2", rs.GhostsUnlinked)
+	}
+	checkInv(t, rt)
+	if chain := rt.ChainOf(p); len(chain) != 3 || chain[0] != p || chain[1] != idx[1] || chain[2] != idx[3] {
+		t.Errorf("chain = %v, want [%d %d %d]", chain, p, idx[1], idx[3])
+	}
+	for _, i := range []byte{2, 4} {
+		if _, _, ok := rt.Lookup(fpWithPrefix(p, i)); !ok {
+			t.Errorf("entry %d lost", i)
+		}
+	}
+	if got := rt.LiveEntries(); got != 2 {
+		t.Errorf("LiveEntries = %d, want 2", got)
 	}
 }

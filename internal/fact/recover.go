@@ -1,38 +1,37 @@
 package fact
 
 import (
+	"fmt"
+	"maps"
+	"sync/atomic"
+
 	"denova/internal/par"
 	"denova/internal/pmem"
 )
 
-// Mount-time recovery of the FACT (§V-C). The caller orchestrates the
-// sequence, because the dedup engine's in-process resume must land between
-// chain repair and UC discarding:
+// Mount-time recovery of the FACT (§V-C) is two calls, one fan-out each.
+// The caller orchestrates them, because the dedup engine's in-process
+// resume counts must be known before the sweep and its dedupe flags
+// advanced after it:
 //
 //	t := fact.Attach(dev, cfg)
-//	t.RecoverStructure()        // chains, free list, delete pointers
-//	<dedup engine resumes in-process entries: CommitTxnByBlock(...)>
-//	t.ZeroAllUC()               // discard counts of failed transactions
-//	t.Scrub(inUse)              // drop entries whose block was reclaimed
+//	c := t.WalkChains()                             // commit flags, prevs, ghosts; the live set
+//	<count in-process page references per block>
+//	rs, scrubbed, err := t.Sweep(c, resumed, inUse) // decide every slot once
+//	<advance the resumed write entries to dedupe_complete>
 //
-// dedup.Recover runs the whole sequence on every mount, clean or not: a
-// clean image simply gives ZeroAllUC and Scrub nothing to change, though
-// both still sweep the whole table. RecoverStructure also rebuilds the DRAM
-// IAA free list, which is never persisted.
+// dedup.Recover runs both on every mount, clean or not; a ModeNone mount
+// runs only WalkChains and refuses a table with a live entry.
 //
-// All three passes shard their index sweeps across Table.RecoveryWorkers
-// goroutines. Sharding is safe and deterministic because the structure
-// decomposes: every IAA entry belongs to exactly one DAA chain, so chain
-// walks from distinct DAA heads touch disjoint entries; per-entry repairs
-// (orphan clears, UC discards) touch only their own slot; and mutations
-// that cross entries (chain unlinks via dropEntry) are collected during
-// the parallel read phase and applied single-threaded in ascending index
-// order, which yields the same persistent image as the sequential sweep
-// (unlinks of distinct entries commute, and removing an entry never moves
-// another: a removed DAA head stays in place as an unoccupied anchor).
+// WalkChains shards by DAA range and Sweep by index range, across
+// Table.RecoveryWorkers goroutines, and every pool size leaves the same
+// image: chain links may only name IAA slots, so walks from distinct heads
+// touch disjoint entries; the sweep's per-slot repairs touch only their
+// own slot; and its chain unlinks (dropEntry) are applied single-threaded
+// afterwards in a fixed order.
 
 // Attach opens an existing FACT region without zeroing it. The IAA free
-// list starts empty; RecoverStructure rebuilds it.
+// list starts empty; Sweep rebuilds it.
 func Attach(dev *pmem.Device, cfg Config) *Table {
 	t := New(dev, cfg)
 	t.iaaFree = t.iaaFree[:0]
@@ -44,10 +43,11 @@ type RecoverStats struct {
 	ReordersResumed int // chains with a raised commit flag
 	PrevsFixed      int // prev pointers rebuilt from next pointers
 	OrphansCleared  int // unreachable IAA slots holding half-inserted entries
-	GhostsUnlinked  int // chain members with zero counts (half-removed)
+	GhostsUnlinked  int // chain entries with zero counts or a block outside the data region
 	DelPtrsFixed    int // delete pointers reinstalled or cleared
-	UCsDiscarded    int // update counts zeroed by ZeroAllUC
-	EntriesDropped  int // entries removed because RFC became 0 or block freed
+	UCsDiscarded    int // live entries whose update count was not all resumed
+	EntriesDropped  int // entries removed because their RFC was 0 once the UC went
+	Stranded        int // unreachable IAA entries still holding references, left as they are
 }
 
 // add accumulates o into s (per-worker RecoverStats reduction).
@@ -59,124 +59,125 @@ func (s *RecoverStats) add(o RecoverStats) {
 	s.DelPtrsFixed += o.DelPtrsFixed
 	s.UCsDiscarded += o.UCsDiscarded
 	s.EntriesDropped += o.EntriesDropped
+	s.Stranded += o.Stranded
 }
 
-// recoveryWorkers resolves the pool size for the recovery sweeps.
-func (t *Table) recoveryWorkers() int {
-	return max(t.RecoveryWorkers, 1)
+// Chains is what WalkChains learned: its repairs and the live set.
+type Chains struct {
+	rs    RecoverStats
+	chain map[uint64]uint64 // reachable IAA member -> its chain head
+	owner map[uint64]uint64 // relative block -> the live entry its delete pointer names
 }
 
-// RecoverStructure walks every chain, completing any interrupted reorder
-// (commit flag protocol), rebuilding prev pointers, unlinking half-removed
-// entries, validating delete pointers, and rebuilding the IAA free list.
-// It must run before the table serves lookups. The DAA chain walk and the
-// IAA sweep are partitioned by index range across RecoveryWorkers.
-func (t *Table) RecoverStructure() RecoverStats {
-	var rs RecoverStats
-	workers := t.recoveryWorkers()
+func newChains() Chains {
+	return Chains{chain: make(map[uint64]uint64), owner: make(map[uint64]uint64)}
+}
 
-	// Phase 1: per-chain repair, sharded by DAA range. Chains from
-	// distinct heads are disjoint, so workers never touch the same entry.
-	type chainShard struct {
-		rs        RecoverStats
-		reachable map[uint64]bool
+// Empty reports whether the table holds no live entry (every live entry
+// claims its block).
+func (c *Chains) Empty() bool { return len(c.owner) == 0 }
+
+// inChain reports whether idx is already a live member of p's chain.
+func (c *Chains) inChain(idx, p uint64) bool {
+	q, ok := c.chain[idx]
+	return ok && q == p
+}
+
+// claim records live entry idx as the delete-pointer owner of relative
+// block r. If two entries claim one block (a corrupt image) the higher
+// index wins.
+func (c *Chains) claim(r, idx uint64) {
+	if idx >= c.owner[r] {
+		c.owner[r] = idx
 	}
-	chainShards := make([]chainShard, workers)
+}
+
+// WalkChains is recovery's first call: it repairs every chain from its
+// DAA head — resuming an interrupted reorder, rebuilding prev pointers and
+// unlinking ghosts — and returns the live set. It must run before the table
+// serves lookups. The heads are read in runs and sharded by DAA range;
+// per-shard results merge in range order.
+func (t *Table) WalkChains() *Chains {
+	workers := max(t.RecoveryWorkers, 1)
+	shards := make([]Chains, workers)
 	par.Ranges(0, t.daa, workers, func(w int, lo, hi int64) {
-		sh := &chainShards[w]
-		sh.reachable = make(map[uint64]bool)
-		for p := uint64(lo); int64(p) < hi; p++ {
-			t.recoverChain(p, sh.reachable, &sh.rs)
-		}
+		sh := &shards[w]
+		*sh = newChains()
+		t.eachEntry(lo, hi, func(head Entry) { t.recoverChain(head, sh) })
 	})
-	reachable := make(map[uint64]bool)
-	for i := range chainShards {
-		rs.add(chainShards[i].rs)
-		for idx := range chainShards[i].reachable {
-			reachable[idx] = true
+	c := newChains()
+	for i := range shards {
+		sh := &shards[i]
+		c.rs.add(sh.rs)
+		maps.Copy(c.chain, sh.chain)
+		for r, idx := range sh.owner {
+			c.claim(r, idx)
 		}
 	}
-
-	// Phase 2: IAA slots, sharded by range. Unreachable ones go to the
-	// free list; occupied orphans (crash between the counts persist and
-	// the chain link) are cleared. Each repair touches only its own slot.
-	// Per-worker free lists concatenate in range order, reproducing the
-	// sequential ascending rebuild exactly.
-	type iaaShard struct {
-		cleared int
-		free    []uint64
-	}
-	iaaShards := make([]iaaShard, workers)
-	par.Ranges(t.daa, t.total, workers, func(w int, lo, hi int64) {
-		sh := &iaaShards[w]
-		for i := lo; i < hi; i++ {
-			idx := uint64(i)
-			if reachable[idx] {
-				continue
-			}
-			if t.EntryAt(idx).occupied() {
-				t.clearSlot(idx)
-				sh.cleared++
-			}
-			sh.free = append(sh.free, idx)
-		}
-	})
-	t.iamu.Lock()
-	t.iaaFree = t.iaaFree[:0]
-	for i := range iaaShards {
-		rs.OrphansCleared += iaaShards[i].cleared
-		t.iaaFree = append(t.iaaFree, iaaShards[i].free...)
-	}
-	t.iamu.Unlock()
-
-	rs.DelPtrsFixed = t.fixDeletePointers()
-	return rs
+	return &c
 }
 
-// recoverChain repairs the chain anchored at DAA slot p: it resumes an
-// interrupted reorder, rebuilds prev pointers, and unlinks ghost entries,
-// recording every live chain member in reachable.
-func (t *Table) recoverChain(p uint64, reachable map[uint64]bool, rs *RecoverStats) {
-	if t.recoverReorder(p) {
-		rs.ReordersResumed++
+// recoverChain repairs the chain anchored at DAA slot head.Idx and records
+// its live entries in c. A chain is truncated at the first link that leaves
+// the IAA or repeats, so a corrupted region (e.g. never initialized) cannot
+// hang recovery. An entry holding a block outside the data region is a
+// ghost like an unoccupied one: a head loses its identity and keeps its
+// links (it anchors the chain), a member is unlinked.
+func (t *Table) recoverChain(head Entry, c *Chains) {
+	p := head.Idx
+	if head.Prev != None {
+		t.recoverReorder(head)
+		c.rs.ReordersResumed++
+		head = t.EntryAt(p)
 	}
-	// Walk the chain, fixing prevs and unlinking ghosts. Cycle guard:
-	// a corrupted region (e.g. never initialized) must not hang
-	// recovery — the chain is truncated at the first repeated entry.
+	if head.occupied() {
+		if t.inData(head.Block) {
+			c.claim(t.relBlock(head.Block), p)
+		} else {
+			t.wipe(p)
+			c.rs.GhostsUnlinked++
+		}
+	}
 	prev := p
-	cur := t.EntryAt(p).Next
-	visited := map[uint64]bool{}
-	for cur != None {
-		if int64(cur) >= t.total || visited[cur] {
+	for cur := head.Next; cur != None; {
+		if !t.inIAA(cur) || c.inChain(cur, p) {
 			t.setNext(prev, None)
 			break
 		}
-		visited[cur] = true
 		e := t.EntryAt(cur)
-		if !e.occupied() {
-			// Half-inserted or half-removed IAA entry: unlink.
+		if !e.occupied() || !t.inData(e.Block) {
+			// Half-inserted or half-removed entry: unlink.
 			t.setNext(prev, e.Next)
-			if e.Next != None {
+			if t.inIAA(e.Next) && !c.inChain(e.Next, p) {
 				t.setPrev(e.Next, prev)
 			}
 			t.clearSlot(cur)
-			rs.GhostsUnlinked++
+			c.rs.GhostsUnlinked++
 			cur = e.Next
 			continue
 		}
 		if e.Prev != prev {
 			t.setPrev(cur, prev)
-			rs.PrevsFixed++
+			c.rs.PrevsFixed++
 		}
-		reachable[cur] = true
+		c.chain[cur] = p
+		c.claim(t.relBlock(e.Block), cur)
 		prev = cur
 		cur = e.Next
 	}
 }
 
-// clearSlot wipes an entry's counts (the first store of the line), identity
-// and links with one flush — not its delete-pointer field, which belongs to
-// the slot's block index.
+// wipe clears an entry's counts (the first store of the line) and identity
+// with one flush, keeping its links and its delete-pointer field.
+func (t *Table) wipe(idx uint64) {
+	off := t.entryOff(idx)
+	t.dev.Store64(off+feCounts, 0)
+	t.storeIdentity(off, FP{}, 0)
+	t.dev.Persist(off, EntrySize)
+}
+
+// clearSlot wipes an entry's counts, identity and links with one flush —
+// not its delete-pointer field, which belongs to the slot's block index.
 func (t *Table) clearSlot(idx uint64) {
 	off := t.entryOff(idx)
 	t.dev.Store64(off+feCounts, 0)
@@ -186,143 +187,136 @@ func (t *Table) clearSlot(idx uint64) {
 	t.dev.Persist(off, EntrySize)
 }
 
-// fixDeletePointers makes the delete-pointer index exactly mirror the live
-// entries: every occupied entry's block maps to it; every other slot maps
-// to None. Both the entry scan and the slot sweep shard by range; the
-// per-worker want-maps merge in ascending range order, so if two entries
-// ever claim the same block (corrupt image) the higher index wins, exactly
-// as in the sequential scan.
-func (t *Table) fixDeletePointers() int {
-	workers := t.recoveryWorkers()
-
-	wantShards := make([]map[uint64]uint64, workers)
-	par.Ranges(0, t.total, workers, func(w int, lo, hi int64) {
-		want := make(map[uint64]uint64)
-		for i := lo; i < hi; i++ {
-			if e := t.EntryAt(uint64(i)); e.occupied() {
-				want[t.relBlock(e.Block)] = e.Idx
-			}
-		}
-		wantShards[w] = want
-	})
-	want := make(map[uint64]uint64) // relBlock -> entry idx
-	for _, sh := range wantShards {
-		for k, v := range sh {
-			want[k] = v
-		}
+// Sweep is recovery's second call. It visits every slot once, ascending,
+// and decides it:
+//
+//   - an IAA slot outside c's live set is cleared if occupied (an orphan:
+//     a crash between the counts persist and the chain link) and goes on
+//     the rebuilt free list — unless its RFC is positive: crashes leave
+//     orphans with RFC 0 only, so such a slot was cut off its chain by a
+//     corrupt link while files still map its block; it stays as it is and
+//     Sweep returns an error after finishing every other repair;
+//   - a slot indexed by a data block gets its delete pointer set to the
+//     block's live owner, or None;
+//   - a live entry with pending update count u takes min(n, u) of it into
+//     its RFC, where n is resumed[Block] — the in-process page references
+//     naming its block, if it owns that block — and discards the rest
+//     (Inconsistency Handling II), in one persist; left with RFC 0 it is
+//     dropped;
+//   - any other live entry whose block inUse rejects is dropped (§V-C2).
+//
+// Drops apply after the sweep, ascending: first the discards, then the
+// scrubs. A removed IAA slot keeps its prev/next words, so adjacent unlinks
+// only leave the same image when they run in the same order. Sweep returns
+// the recovery's RecoverStats, c's included, and the number of entries
+// dropped because their block was not in use.
+func (t *Table) Sweep(c *Chains, resumed map[uint64]int, inUse func(block uint64) bool) (rs RecoverStats, scrubbed int, err error) {
+	workers := max(t.RecoveryWorkers, 1)
+	type shard struct {
+		rs               RecoverStats
+		free             []uint64
+		discards, scrubs []uint64
 	}
-
-	fixedBy := make([]int, workers)
-	par.Ranges(0, t.numData, workers, func(w int, lo, hi int64) {
-		for r := lo; r < hi; r++ {
-			slotOff := t.entryOff(uint64(r)) + feDelPtr
-			cur := t.dev.Load64(slotOff)
-			wv, ok := want[uint64(r)]
-			if !ok {
-				wv = None
-			}
-			if cur != wv {
-				t.dev.PersistStore64(slotOff, wv)
-				fixedBy[w]++
-			}
-		}
-	})
-	fixed := 0
-	for _, n := range fixedBy {
-		fixed += n
-	}
-	return fixed
-}
-
-// ZeroAllUC discards the update counts of transactions that never resumed
-// (Inconsistency Handling II: "the UC is not applied to the RFC for these
-// entries, but discarded. These UCs are set to 0 at system reboot").
-// Entries left with RFC==0 are removed entirely. The sweep shards by
-// index range: per-entry count rewrites run in the workers (they touch
-// only their own slot), while removals — which rewrite neighbours' chain
-// pointers — are collected and applied afterwards in ascending index
-// order, producing the same image as the sequential sweep.
-func (t *Table) ZeroAllUC() RecoverStats {
-	var rs RecoverStats
-	workers := t.recoveryWorkers()
-
-	type ucShard struct {
-		discarded int
-		drops     []uint64
-	}
-	shards := make([]ucShard, workers)
+	shards := make([]shard, workers)
 	par.Ranges(0, t.total, workers, func(w int, lo, hi int64) {
 		sh := &shards[w]
-		for i := lo; i < hi; i++ {
-			idx := uint64(i)
-			cw := t.dev.Load64(t.entryOff(idx) + feCounts)
-			rfc, uc := uint32(cw), uint32(cw>>32)
-			if uc == 0 {
-				continue
+		t.eachEntry(lo, hi, func(e Entry) {
+			_, live := c.chain[e.Idx]                           // a reachable member
+			live = live || int64(e.Idx) < t.daa && e.occupied() // or an occupied head
+			if int64(e.Idx) >= t.daa && !live {
+				if e.RFC > 0 {
+					sh.rs.Stranded++ // files still map its block: keep it, refuse
+				} else {
+					if e.occupied() {
+						t.clearSlot(e.Idx)
+						sh.rs.OrphansCleared++
+					}
+					sh.free = append(sh.free, e.Idx)
+				}
 			}
-			sh.discarded++
-			if rfc == 0 {
-				sh.drops = append(sh.drops, idx)
-				continue
+			if int64(e.Idx) < t.numData {
+				want, ok := c.owner[e.Idx]
+				if !ok {
+					want = None
+				}
+				if e.DelPtr != want {
+					t.dev.PersistStore64(t.entryOff(e.Idx)+feDelPtr, want)
+					sh.rs.DelPtrsFixed++
+				}
 			}
-			t.dev.PersistStore64(t.entryOff(idx)+feCounts, uint64(rfc))
-		}
+			if !live {
+				return
+			}
+			if e.UC > 0 {
+				n := 0
+				if c.owner[t.relBlock(e.Block)] == e.Idx {
+					n = min(resumed[e.Block], int(e.UC))
+					atomic.AddInt64(&t.stats.Commits, int64(n)) // as CommitTxn counts them
+				}
+				if n < int(e.UC) {
+					sh.rs.UCsDiscarded++
+				}
+				rfc := e.RFC + uint32(n)
+				if rfc == 0 {
+					sh.discards = append(sh.discards, e.Idx)
+					return
+				}
+				t.dev.PersistStore64(t.entryOff(e.Idx)+feCounts, uint64(rfc))
+			}
+			if !inUse(e.Block) {
+				sh.scrubs = append(sh.scrubs, e.Idx)
+			}
+		})
 	})
-	for i := range shards {
-		rs.UCsDiscarded += shards[i].discarded
-		for _, idx := range shards[i].drops {
-			t.dropEntry(idx)
-			rs.EntriesDropped++
-		}
+
+	rs = c.rs
+	var discards, scrubs []uint64
+	t.iamu.Lock()
+	t.iaaFree = t.iaaFree[:0]
+	for _, sh := range shards {
+		rs.add(sh.rs)
+		t.iaaFree = append(t.iaaFree, sh.free...)
+		discards = append(discards, sh.discards...)
+		scrubs = append(scrubs, sh.scrubs...)
 	}
-	return rs
+	t.iamu.Unlock()
+	for _, idx := range append(discards, scrubs...) {
+		t.dropEntry(idx)
+	}
+	rs.EntriesDropped += len(discards)
+	if rs.Stranded > 0 {
+		err = fmt.Errorf("fact: %d IAA entries hold references but no chain reaches them; the table is corrupt", rs.Stranded)
+	}
+	return rs, len(scrubs), err
 }
 
 // Scrub removes every entry whose block the file system no longer uses
 // (§V-C2: "DENOVA checks each FACT entry's data chunk. If the data chunk
 // has been reclaimed by the free list in recovery, it decreases the RFC of
-// the corresponding FACT entry, i.e., invalidates it."). It returns the
-// blocks whose entries were dropped so the caller can reconcile free-space
-// accounting. The candidate scan shards by index range (read-only); the
-// drops apply afterwards in ascending index order.
-func (t *Table) Scrub(inUse func(block uint64) bool) (RecoverStats, []uint64) {
-	var rs RecoverStats
-	workers := t.recoveryWorkers()
-
-	type cand struct {
-		idx, block uint64
-	}
-	candShards := make([][]cand, workers)
-	par.Ranges(0, t.total, workers, func(w int, lo, hi int64) {
-		for i := lo; i < hi; i++ {
-			e := t.EntryAt(uint64(i))
-			if !e.occupied() || e.UC > 0 {
-				// Empty, or an open transaction is about to reference
-				// this block; the next scrub pass will catch it if the
-				// transaction dies.
-				continue
-			}
-			if !inUse(e.Block) {
-				candShards[w] = append(candShards[w], cand{e.Idx, e.Block})
-			}
+// the corresponding FACT entry, i.e., invalidates it."), on a live table.
+// An entry with an open transaction is skipped: the transaction is about
+// to reference its block, and the next scrub catches it if the
+// transaction dies. It returns the blocks whose entries were dropped so
+// the caller can reconcile free-space accounting.
+func (t *Table) Scrub(inUse func(block uint64) bool) []uint64 {
+	var cands []Entry
+	t.eachEntry(0, t.total, func(e Entry) {
+		if e.occupied() && e.UC == 0 && !inUse(e.Block) {
+			cands = append(cands, e)
 		}
 	})
-
 	var dropped []uint64
-	for _, sh := range candShards {
-		for _, c := range sh {
-			// Re-validate under the chain lock via dropEntry (it rechecks
-			// occupancy); the block check guards against the slot having
-			// been rewritten between the scan and the drop.
-			if t.EntryAt(c.idx).Block != c.block {
-				continue
-			}
-			t.dropEntry(c.idx)
-			rs.EntriesDropped++
-			dropped = append(dropped, c.block)
+	for _, c := range cands {
+		// dropEntry rechecks occupancy under the chain lock; the block
+		// check guards against the slot having been rewritten since the
+		// scan.
+		if t.EntryAt(c.Idx).Block != c.Block {
+			continue
 		}
+		t.dropEntry(c.Idx)
+		dropped = append(dropped, c.Block)
 	}
-	return rs, dropped
+	return dropped
 }
 
 // dropEntry force-removes an entry regardless of its counts, taking the

@@ -115,56 +115,60 @@ func (t *Table) reorderCommit(prefix uint64, order []uint64) {
 }
 
 func (t *Table) setPrevsForOrder(prefix uint64, order []uint64) {
-	for i, idx := range order {
-		if i == 0 {
-			t.setPrev(idx, prefix)
-		} else {
-			t.setPrev(idx, order[i-1])
-		}
+	prev := prefix
+	for _, idx := range order {
+		t.setPrev(idx, prev)
+		prev = idx
 	}
 }
 
 func (t *Table) setNextsForOrder(prefix uint64, order []uint64) {
-	t.setNext(prefix, order[0])
-	for i, idx := range order {
-		if i == len(order)-1 {
-			t.setNext(idx, None)
-		} else {
-			t.setNext(idx, order[i+1])
-		}
+	cur := prefix
+	for _, idx := range order {
+		t.setNext(cur, idx)
+		cur = idx
 	}
+	t.setNext(cur, None)
 }
 
-// recoverReorder repairs the chain at prefix after a crash, according to
-// the commit flag. Returns true if a repair was needed.
-func (t *Table) recoverReorder(prefix uint64) bool {
-	head := t.EntryAt(prefix)
-	flag := head.Prev
-	if flag == None {
-		return false
+// recoverReorder completes the reorder a crash interrupted on head's chain
+// (head.Prev is the raised commit flag) and lowers the flag. Both walks
+// follow pointers read from the image, so each stops at the first one that
+// leaves the IAA or repeats, and the chain is truncated there: a flag that
+// names no IAA slot is read as phase 1, and a phase-2 walk that never gets
+// back to the head links the head to the last node it reached.
+func (t *Table) recoverReorder(head Entry) {
+	p, flag := head.Idx, head.Prev
+	seen := map[uint64]bool{}
+	member := func(idx uint64) bool {
+		if !t.inIAA(idx) || seen[idx] {
+			return false
+		}
+		seen[idx] = true
+		return true
 	}
-	if flag == prefix {
+	if flag == p || !t.inIAA(flag) {
 		// Phase 1 crash: next fields hold the old order; rebuild prevs.
-		prev := prefix
+		prev := p
 		for cur := head.Next; cur != None; cur = t.EntryAt(cur).Next {
+			if !member(cur) {
+				t.setNext(prev, None)
+				break
+			}
 			t.setPrev(cur, prev)
 			prev = cur
 		}
-		t.setPrev(prefix, None)
-		return true
+	} else {
+		// Phase 2 crash: prev fields hold the new order; walk backwards
+		// from the last node (the flag value) and rebuild the next fields.
+		next := None
+		for cur := flag; cur != p && member(cur); cur = t.EntryAt(cur).Prev {
+			t.setNext(cur, next)
+			next = cur
+		}
+		t.setNext(p, next)
 	}
-	// Phase 2 crash: prev fields hold the new order; walk backwards from
-	// the last node (the flag value) and rebuild the next fields.
-	cur := flag
-	next := None
-	for cur != prefix {
-		t.setNext(cur, next)
-		next = cur
-		cur = t.EntryAt(cur).Prev
-	}
-	t.setNext(prefix, next)
-	t.setPrev(prefix, None)
-	return true
+	t.setPrev(p, None)
 }
 
 // ChainOf returns the chain (head + IAA nodes) for a prefix, for tests and

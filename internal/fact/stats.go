@@ -65,11 +65,11 @@ func (s Stats) AvgWalk() float64 {
 // intended for tests and reports, not hot paths).
 func (t *Table) LiveEntries() int64 {
 	var n int64
-	for i := int64(0); i < t.total; i++ {
-		if t.EntryAt(uint64(i)).occupied() {
+	t.eachEntry(0, t.total, func(e Entry) {
+		if e.occupied() {
 			n++
 		}
-	}
+	})
 	return n
 }
 

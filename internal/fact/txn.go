@@ -170,23 +170,15 @@ func (t *Table) incUC(idx uint64) uint64 {
 
 // CommitTxn applies "decrease the UC and increase the RFC" as one atomic
 // persistent store (step ⑥ of Fig. 6). It returns false when the entry has
-// no pending update count — which recovery treats as "already applied"
-// (the crash landed after this commit but before the dedupe-flag advanced).
+// no pending update count.
 func (t *Table) CommitTxn(idx uint64) bool {
 	off := t.entryOff(idx) + feCounts
-	for {
-		w := t.dev.Load64(off)
-		rfc, uc := uint32(w), uint32(w>>32)
-		if uc == 0 {
-			return false
-		}
-		nw := uint64(rfc+1) | uint64(uc-1)<<32
-		if t.dev.CAS64(off, w, nw) {
-			t.dev.Persist(off, 8)
-			atomic.AddInt64(&t.stats.Commits, 1)
-			return true
-		}
+	if !t.takeUC(off, 1) {
+		return false
 	}
+	t.dev.Persist(off, 8)
+	atomic.AddInt64(&t.stats.Commits, 1)
+	return true
 }
 
 // CommitTxnBatch commits a set of open transactions with one fence: each
@@ -203,20 +195,10 @@ func (t *Table) CommitTxnBatch(idxs []uint64) int {
 	}
 	committed := 0
 	for _, idx := range idxs {
-		off := t.entryOff(idx) + feCounts
-		for {
-			w := t.dev.Load64(off)
-			rfc, uc := uint32(w), uint32(w>>32)
-			if uc == 0 {
-				break
-			}
-			nw := uint64(rfc+1) | uint64(uc-1)<<32
-			if t.dev.CAS64(off, w, nw) {
-				t.dev.Flush(off, 8)
-				atomic.AddInt64(&t.stats.Commits, 1)
-				committed++
-				break
-			}
+		if off := t.entryOff(idx) + feCounts; t.takeUC(off, 1) {
+			t.dev.Flush(off, 8)
+			atomic.AddInt64(&t.stats.Commits, 1)
+			committed++
 		}
 	}
 	if committed > 0 {
@@ -231,15 +213,24 @@ func (t *Table) CommitTxnBatch(idxs []uint64) int {
 // Inconsistency Handling III re-enqueues such entries).
 func (t *Table) AbortTxn(idx uint64) bool {
 	off := t.entryOff(idx) + feCounts
+	if !t.takeUC(off, 0) {
+		return false
+	}
+	t.dev.Persist(off, 8)
+	return true
+}
+
+// takeUC takes one pending update count off the counts word at off and
+// adds add to the RFC, in one CAS the caller makes durable. It returns
+// false when no count is pending.
+func (t *Table) takeUC(off int64, add uint32) bool {
 	for {
 		w := t.dev.Load64(off)
 		rfc, uc := uint32(w), uint32(w>>32)
 		if uc == 0 {
 			return false
 		}
-		nw := uint64(rfc) | uint64(uc-1)<<32
-		if t.dev.CAS64(off, w, nw) {
-			t.dev.Persist(off, 8)
+		if t.dev.CAS64(off, w, uint64(rfc+add)|uint64(uc-1)<<32) {
 			return true
 		}
 	}
@@ -255,17 +246,6 @@ func (t *Table) Lookup(fp FP) (idx, canonical uint64, found bool) {
 	defer mu.Unlock()
 	hit, ok, _, _, _ := t.lookupLocked(prefix, fp)
 	return hit.Idx, hit.Block, ok
-}
-
-// CommitTxnByBlock resolves the entry through the delete pointer and
-// commits a pending transaction on it. Used by crash recovery to resume
-// in-process deduplications (Inconsistency Handling II).
-func (t *Table) CommitTxnByBlock(block uint64) bool {
-	idx, ok := t.DeletePtr(block)
-	if !ok {
-		return false
-	}
-	return t.CommitTxn(idx)
 }
 
 // maxRun caps how many consecutive delete-pointer slots DecRefBatch fetches
@@ -398,10 +378,7 @@ func (t *Table) decRefLocked(prefix, block, idx uint64, fp FP, unfenced *bool) (
 // recovery can still unlink it as a ghost; insertLocked overwrites them on
 // reuse — then prev.next and next.prev.
 func (t *Table) removeLocked(prefix uint64, e Entry) {
-	off := t.entryOff(e.Idx)
-	t.dev.Store64(off+feCounts, 0)
-	t.storeIdentity(off, FP{}, 0)
-	t.dev.Persist(off, EntrySize)
+	t.wipe(e.Idx)
 	if e.Idx != prefix {
 		t.setNext(e.Prev, e.Next)
 		if e.Next != None {

@@ -69,16 +69,18 @@ type ScanResult struct {
 	Passes []RecoveryPass
 }
 
-// timedPass runs fn and appends its wall-clock and device-counter cost to
-// res.Passes.
-func (fs *FS) timedPass(res *ScanResult, name string, fn func() error) error {
+// TimePass runs fn as the recovery pass name: it appends the pass's
+// wall-clock time and dev's counter delta to passes and returns fn's error.
+// Mount, dedup recovery and a ModeNone mount's FACT walk all time their
+// passes through it, so a full mount reads as one timeline.
+func TimePass(dev *pmem.Device, passes *[]RecoveryPass, name string, fn func() error) error {
 	start := time.Now()
-	before := fs.Dev.Stats()
+	before := dev.Stats()
 	err := fn()
-	res.Passes = append(res.Passes, RecoveryPass{
+	*passes = append(*passes, RecoveryPass{
 		Name: name,
 		Wall: time.Since(start),
-		Pmem: fs.Dev.Stats().Sub(before),
+		Pmem: dev.Stats().Sub(before),
 	})
 	return err
 }
@@ -128,7 +130,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 
 	// Pass 1: load every valid inode record, sharded by inode range.
 	var files []*Inode
-	err = fs.timedPass(res, "inode-scan", func() error {
+	err = TimePass(fs.Dev, &res.Passes, "inode-scan", func() error {
 		var perr error
 		files, perr = fs.scanInodeTable(workers)
 		return perr
@@ -151,7 +153,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 		ino  uint64
 	}
 	var repairs []repair
-	err = fs.timedPass(res, "namespace", func() error {
+	err = TimePass(fs.Dev, &res.Passes, "namespace", func() error {
 		reachable := map[uint64]bool{RootIno: true}
 		queue := []*Inode{fs.root}
 		for len(queue) > 0 {
@@ -218,7 +220,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 	// the merge below ORs the bitmaps, concatenates the entry lists (the
 	// final sort by Seq restores global order) and takes the seq/clock
 	// maxima, so the result is independent of scheduling.
-	err = fs.timedPass(res, "log-replay", func() error {
+	err = TimePass(fs.Dev, &res.Passes, "log-replay", func() error {
 		return fs.replayFilesParallel(files, res, workers)
 	})
 	if err != nil {
@@ -228,7 +230,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 	// Pass 5 (directories + allocator): directory logs were replayed during
 	// the BFS; mark their pages, then rebuild the allocator from the merged
 	// bitmap.
-	err = fs.timedPass(res, "alloc-rebuild", func() error {
+	err = TimePass(fs.Dev, &res.Passes, "alloc-rebuild", func() error {
 		for _, in := range fs.inodes {
 			if !in.dir {
 				continue
@@ -250,7 +252,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 	// case a repair grows the directory log). A failed repair fails the
 	// mount: leaving the prune volatile-only would resurrect the dangling
 	// name on the next crash.
-	err = fs.timedPass(res, "repairs", func() error {
+	err = TimePass(fs.Dev, &res.Passes, "repairs", func() error {
 		for _, r := range repairs {
 			err := func() error {
 				r.dir.mu.Lock()
@@ -275,7 +277,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 	// drained it) is never revisited by runtime fast GC — nothing will
 	// ever drop its live count again — so it would leak until a thorough
 	// GC rewrite. Reclaim such pages now, in ascending inode order.
-	_ = fs.timedPass(res, "log-gc", func() error {
+	_ = TimePass(fs.Dev, &res.Passes, "log-gc", func() error {
 		for _, in := range files {
 			func() {
 				in.mu.Lock()
