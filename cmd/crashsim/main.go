@@ -15,6 +15,8 @@
 // Fig. 7 IAA chain reordering), mixed (random multi-file workload). The
 // eviction flag additionally randomizes which unflushed cache lines persist
 // at the crash (cache-eviction model), with several seeds per crash point.
+// Every scenario runs through pmem.Sweep, the one crash-sweep loop the
+// tests use too, so points run in parallel on GOMAXPROCS goroutines.
 package main
 
 import (
@@ -22,9 +24,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"denova"
+	"denova/internal/dedup"
+	"denova/internal/fact"
+	"denova/internal/nova"
 	"denova/internal/pmem"
 	"denova/internal/workload"
 )
@@ -38,7 +44,7 @@ var (
 
 func main() {
 	flag.Parse()
-	scenarios := map[string]func() (int, error){
+	scenarios := map[string]func() (pmem.SweepResult, int64, error){
 		"dedup":   sweepDedup,
 		"reclaim": sweepReclaim,
 		"reorder": sweepReorder,
@@ -55,13 +61,14 @@ func main() {
 	failed := false
 	for _, name := range names {
 		start := time.Now()
-		points, err := scenarios[name]()
+		res, resumed, err := scenarios[name]()
 		if err != nil {
 			fmt.Printf("FAIL %-8s %v\n", name, err)
 			failed = true
 			continue
 		}
-		fmt.Printf("PASS %-8s %d crash points survived (%v)\n", name, points, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("PASS %-8s %d crash points survived, %d images, %d reorders resumed (%v)\n",
+			name, res.Points, res.Images, resumed, time.Since(start).Round(time.Millisecond))
 	}
 	if failed {
 		os.Exit(1)
@@ -86,68 +93,43 @@ func setup(populate func(fs *denova.FS) error) (*pmem.Device, error) {
 }
 
 // mountFS mounts an image daemon-less so the sweep controls when dedup
-// runs and injected crashes unwind on this goroutine.
-func mountFS(dev *pmem.Device) (*denova.FS, error) {
-	fs, _, err := denova.Mount(dev, denova.Config{Mode: denova.ModeImmediate, NoDaemon: true})
-	return fs, err
+// runs and injected crashes unwind on the sweeping goroutine.
+func mountFS(dev *pmem.Device) (*denova.FS, *denova.RecoveryInfo, error) {
+	return denova.Mount(dev, denova.Config{Mode: denova.ModeImmediate, NoDaemon: true})
 }
 
-// sweep runs op once to count persist points, then re-runs it with a crash
-// injected at every point (and optionally eviction-randomized images),
-// calling check on every recovered file system.
-func sweep(base *pmem.Device, op func(fs *denova.FS) error, check func(fs *denova.FS, k int64) error) (int, error) {
-	probe := base.Clone()
-	fsP, err := mountFS(probe)
-	if err != nil {
-		return 0, err
+// sweep crashes op, run on a mounted clone of base, at every persist point
+// and checks the drop-dirty image (plus -seeds eviction images with
+// -evict) of each: recovery mounts, the FACT invariants hold, and check
+// passes. It also returns the chain reorders the recovery mounts resumed.
+func sweep(base *pmem.Device, op func(fs *denova.FS) error, check func(fs *denova.FS, k int64) error) (pmem.SweepResult, int64, error) {
+	modes := []pmem.SweepMode{{Mode: pmem.CrashDropDirty}}
+	if *evict && *seeds > 0 {
+		modes = append(modes, pmem.SweepMode{Mode: pmem.CrashEvictRandom, Seeds: *seeds})
 	}
-	start := probe.PersistOps()
-	if err := op(fsP); err != nil {
-		return 0, err
-	}
-	total := probe.PersistOps() - start
-	if total == 0 {
-		return 0, fmt.Errorf("operation performed no persists; sweep is vacuous")
-	}
-
-	for k := int64(1); k <= total; k++ {
-		if *verbose {
-			fmt.Printf("  crash point %d/%d\n", k, total)
-		}
+	var resumed atomic.Int64
+	res, err := pmem.Sweep(func() (*pmem.Device, func() error, error) {
 		work := base.Clone()
-		fsW, err := mountFS(work)
+		fs, _, err := mountFS(work)
 		if err != nil {
-			return 0, err
+			return nil, nil, err
 		}
-		work.SetCrashAfter(k)
-		crashed := pmem.RunToCrash(func() {
-			if err := op(fsW); err != nil && *verbose {
-				fmt.Printf("  op error before crash at k=%d: %v\n", k, err)
-			}
-		})
-		if !crashed {
-			return 0, fmt.Errorf("k=%d: crash did not fire (total=%d)", k, total)
+		return work, func() error { return op(fs) }, nil
+	}, func(img *pmem.Device, k int64) error {
+		if *verbose {
+			fmt.Printf("  crash point %d\n", k)
 		}
-		images := []*pmem.Device{work.CrashImage(pmem.CrashDropDirty, k)}
-		if *evict {
-			for s := 0; s < *seeds; s++ {
-				images = append(images, work.CrashImage(pmem.CrashEvictRandom, k*7919+int64(s)))
-			}
+		fs, info, err := mountFS(img)
+		if err != nil {
+			return fmt.Errorf("recovery mount failed: %v", err)
 		}
-		for i, img := range images {
-			fsR, err := mountFS(img)
-			if err != nil {
-				return 0, fmt.Errorf("k=%d image %d: recovery mount failed: %v", k, i, err)
-			}
-			if err := fsR.CheckFACTInvariants(); err != nil {
-				return 0, fmt.Errorf("k=%d image %d: %v", k, i, err)
-			}
-			if err := check(fsR, k); err != nil {
-				return 0, fmt.Errorf("k=%d image %d: %v", k, i, err)
-			}
+		resumed.Add(int64(info.Dedup.Fact.ReordersResumed))
+		if err := fs.CheckFACTInvariants(); err != nil {
+			return err
 		}
-	}
-	return int(total), nil
+		return check(fs, k)
+	}, modes...)
+	return res, resumed.Load(), err
 }
 
 func wantData(spec workload.Spec, i int) []byte {
@@ -171,24 +153,18 @@ func verifyFile(fs *denova.FS, name string, want []byte) error {
 }
 
 // sweepDedup crashes inside the Fig. 6 deduplication transaction.
-func sweepDedup() (int, error) {
+func sweepDedup() (pmem.SweepResult, int64, error) {
 	spec := workload.Spec{Name: "x", FileSize: 3 * 4096, NumFiles: 2, DupRatio: 0, Seed: 4}
 	dataA := wantData(spec, 0)
 	dataB := append(append([]byte{}, dataA[:4096]...), wantData(spec, 1)[4096:]...) // shares page 0 with A
 	base, err := setup(func(fs *denova.FS) error {
-		for name, data := range map[string][]byte{"a": dataA, "b": dataB} {
-			f, err := fs.Create(name)
-			if err != nil {
-				return err
-			}
-			if _, err := f.WriteAt(data, 0); err != nil {
-				return err
-			}
+		if err := writeFile(fs, "a", dataA); err != nil {
+			return err
 		}
-		return nil
+		return writeFile(fs, "b", dataB)
 	})
 	if err != nil {
-		return 0, err
+		return pmem.SweepResult{}, 0, err
 	}
 	op := func(fs *denova.FS) error { fs.Sync(); return nil }
 	check := func(fs *denova.FS, k int64) error {
@@ -212,16 +188,12 @@ func sweepDedup() (int, error) {
 }
 
 // sweepReclaim crashes while overwriting files whose pages are shared.
-func sweepReclaim() (int, error) {
+func sweepReclaim() (pmem.SweepResult, int64, error) {
 	spec := workload.Spec{Name: "x", FileSize: 2 * 4096, NumFiles: 1, DupRatio: 0, Seed: 8}
 	shared := wantData(spec, 0)
 	base, err := setup(func(fs *denova.FS) error {
 		for _, name := range []string{"a", "b"} {
-			f, err := fs.Create(name)
-			if err != nil {
-				return err
-			}
-			if _, err := f.WriteAt(shared, 0); err != nil {
+			if err := writeFile(fs, name, shared); err != nil {
 				return err
 			}
 		}
@@ -229,7 +201,7 @@ func sweepReclaim() (int, error) {
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return pmem.SweepResult{}, 0, err
 	}
 	spec2 := spec
 	spec2.Seed = 88
@@ -269,31 +241,49 @@ func sweepReclaim() (int, error) {
 	return sweep(base, op, check)
 }
 
-// sweepReorder crashes inside the FACT chain-reordering protocol by driving
-// a workload hot enough to trigger reorders during the drain.
-func sweepReorder() (int, error) {
-	spec := workload.Spec{Name: "zipf", FileSize: 4096, NumFiles: 60, DupRatio: 0.95, PoolSize: 24, Zipf: true, Seed: 6}
-	gen := workload.NewGenerator(spec)
+// sweepReorder crashes inside the FACT chain-reordering protocol: four
+// distinct pages share one FACT prefix, so the last inserted sits fourth in
+// its chain, and three more copies of it make the dedup lookups walk past
+// the depth threshold to a hot entry, which flags the chain for reordering
+// during the drain.
+func sweepReorder() (pmem.SweepResult, int64, error) {
+	chain, err := samePrefixPages(4)
+	if err != nil {
+		return pmem.SweepResult{}, 0, err
+	}
+	type file struct {
+		name string
+		data []byte
+	}
+	var files []file // in insertion order, which is chain order
+	for i, p := range chain {
+		files = append(files, file{fmt.Sprintf("c%d", i), p})
+	}
+	for i := 0; i < 3; i++ {
+		files = append(files, file{fmt.Sprintf("hot%d", i), chain[len(chain)-1]})
+	}
 	base, err := setup(func(fs *denova.FS) error {
-		for i := 0; i < spec.NumFiles; i++ {
-			f, err := fs.Create(gen.FileName(i))
-			if err != nil {
-				return err
-			}
-			if _, err := f.WriteAt(gen.FileData(i), 0); err != nil {
+		for _, f := range files {
+			if err := writeFile(fs, f.name, f.data); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return pmem.SweepResult{}, 0, err
 	}
-	op := func(fs *denova.FS) error { fs.Sync(); return nil }
+	op := func(fs *denova.FS) error {
+		fs.Sync()
+		if fs.Stats().Fact.Reorders == 0 {
+			return fmt.Errorf("the drain reordered no chain; the scenario is vacuous")
+		}
+		return nil
+	}
 	check := func(fs *denova.FS, k int64) error {
 		fs.Sync() // resume
-		for i := 0; i < spec.NumFiles; i += 7 {
-			if err := verifyFile(fs, gen.FileName(i), gen.FileData(i)); err != nil {
+		for _, f := range files {
+			if err := verifyFile(fs, f.name, f.data); err != nil {
 				return err
 			}
 		}
@@ -302,17 +292,41 @@ func sweepReorder() (int, error) {
 	return sweep(base, op, check)
 }
 
+// samePrefixPages returns n distinct pages whose strong fingerprints share
+// one FACT prefix at this device's geometry, found by hashing pages of
+// seeded random content until one prefix has collected n.
+func samePrefixPages(n int) ([][]byte, error) {
+	g, err := nova.ComputeGeometry(devSize, 4096) // denova.Config's default MaxInodes
+	if err != nil {
+		return nil, err
+	}
+	table := fact.New(nil, fact.Config{PrefixBits: g.FactPrefixBits}) // for PrefixOf alone
+	byPrefix := map[uint64][][]byte{}
+	for seed := int64(0); ; seed++ {
+		p := workload.NewGenerator(workload.Spec{Name: "chain", FileSize: 4096, NumFiles: 1, Seed: seed}).FileData(0)
+		prefix := table.PrefixOf(dedup.Strong(p))
+		if byPrefix[prefix] = append(byPrefix[prefix], p); len(byPrefix[prefix]) == n {
+			return byPrefix[prefix], nil
+		}
+	}
+}
+
+func writeFile(fs *denova.FS, name string, data []byte) error {
+	f, err := fs.Create(name)
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteAt(data, 0)
+	return err
+}
+
 // sweepMixed crashes inside a combined create/overwrite/delete/dedup churn.
-func sweepMixed() (int, error) {
+func sweepMixed() (pmem.SweepResult, int64, error) {
 	spec := workload.Spec{Name: "mix", FileSize: 2 * 4096, NumFiles: 8, DupRatio: 0.5, Seed: 12}
 	gen := workload.NewGenerator(spec)
 	base, err := setup(func(fs *denova.FS) error {
 		for i := 0; i < spec.NumFiles; i++ {
-			f, err := fs.Create(gen.FileName(i))
-			if err != nil {
-				return err
-			}
-			if _, err := f.WriteAt(gen.FileData(i), 0); err != nil {
+			if err := writeFile(fs, gen.FileName(i), gen.FileData(i)); err != nil {
 				return err
 			}
 		}
@@ -320,7 +334,7 @@ func sweepMixed() (int, error) {
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return pmem.SweepResult{}, 0, err
 	}
 	spec2 := spec
 	spec2.Seed = 120
@@ -336,11 +350,7 @@ func sweepMixed() (int, error) {
 		if _, err := f.WriteAt(gen2.FileData(1), 0); err != nil {
 			return err
 		}
-		nf, err := fs.Create("fresh")
-		if err != nil {
-			return err
-		}
-		if _, err := nf.WriteAt(gen2.FileData(7), 0); err != nil {
+		if err := writeFile(fs, "fresh", gen2.FileData(7)); err != nil {
 			return err
 		}
 		fs.Sync()

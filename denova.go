@@ -290,7 +290,7 @@ type RecoveryInfo struct {
 	// namespace, log-replay, alloc-rebuild, repairs, log-gc) followed by
 	// the dedup recovery passes (fact-chains, dedup-resume, fact-sweep,
 	// dwq-rebuild); a ModeNone mount follows the nova passes with
-	// fact-chains alone.
+	// fact-scan alone.
 	Passes []RecoveryPass
 	// Dedup carries the §V-C dedup recovery report (zero value for
 	// ModeNone).
@@ -329,14 +329,16 @@ func Mount(dev *Device, cfg Config) (*FS, *RecoveryInfo, error) {
 	table := fact.Attach(dev, factConfig(nfs.Geo))
 	table.RecoveryWorkers = cfg.Workers
 	if cfg.Mode == ModeNone {
-		// The chain walk alone finds every live entry; the table's other
-		// repairs wait for the next dedup-mode mount.
-		var empty bool
-		_ = nova.TimePass(dev, &info.Passes, "fact-chains", func() error {
-			empty = table.WalkChains().Empty()
+		// One ascending scan refuses any occupied entry, reachable or not:
+		// a chain walk misses an entry a corrupt link cut off, and RFC alone
+		// misses a batch cut off before its commit (RFC 0, UC > 0) while
+		// files already map the block. Repairs wait for a dedup-mode mount.
+		var live int64
+		_ = nova.TimePass(dev, &info.Passes, "fact-scan", func() error {
+			live = table.LiveEntries()
 			return nil
 		})
-		if !empty {
+		if live != 0 {
 			return nil, nil, fmt.Errorf("denova: device holds deduplicated data; mount with a dedup mode, not ModeNone")
 		}
 		f.initObs()

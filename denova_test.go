@@ -538,3 +538,32 @@ func TestMountRefusesStrandedFactEntry(t *testing.T) {
 		t.Fatal("Mount accepted a FACT entry that holds references but no chain reaches")
 	}
 }
+
+// TestModeNoneMountRefusesStrandedFactEntry is the ModeNone twin: on an
+// image that never deduplicated, an IAA entry that no chain reaches names a
+// block file a maps. With RFC 1 it is an entry a corrupt link cut off its
+// chain; with RFC 0 and UC 2 it is the canonical entry of a batch whose
+// remap entries reached the log commit before the crash cut off
+// CommitTxnBatch. Mount must refuse both: accepting would let a later
+// ModeNone delete free a block the FACT still holds.
+func TestModeNoneMountRefusesStrandedFactEntry(t *testing.T) {
+	for _, counts := range []struct{ rfc, uc uint64 }{{1, 0}, {0, 2}} {
+		dev, fs := mkFS(t, Config{Mode: ModeNone})
+		writeAll(t, fs, "a", npages(1))
+		in, err := fs.fs.Lookup("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		block, _, _ := in.Mapping(0)
+		g := fs.fs.Geo
+		fs.Unmount()
+		const blockWord = 8                                            // an entry's block word; counts are word 0 (fact's on-PM layout)
+		off := g.FactOff + (int64(1)<<g.FactPrefixBits)*fact.EntrySize // the first IAA slot
+		dev.Store64(off+blockWord, block)
+		dev.Store64(off, counts.rfc|counts.uc<<32)
+		dev.Persist(off, fact.EntrySize)
+		if _, _, err := Mount(dev, Config{Mode: ModeNone}); err == nil {
+			t.Fatalf("ModeNone Mount accepted an unreachable FACT entry with RFC %d, UC %d", counts.rfc, counts.uc)
+		}
+	}
+}

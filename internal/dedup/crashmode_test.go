@@ -16,117 +16,18 @@ import (
 // the full NOVA fsck with the FACT answering block-ownership queries — the
 // cross-layer consistency check: every block is either file-mapped, FACT-held
 // (RFC or in-flight UC), or free, with no overlap and no leak.
-func fsckAfterRecovery(t *testing.T, r *rig, tag string) {
-	t.Helper()
+func fsckAfterRecovery(r *rig) error {
 	if err := r.table.CheckInvariants(); err != nil {
-		t.Fatalf("%s: FACT invariants: %v", tag, err)
+		return fmt.Errorf("FACT invariants: %v", err)
 	}
 	r.engine.Drain()
 	if err := r.fs.Fsck(func(b uint64) bool {
 		idx, ok := r.table.DeletePtr(b)
 		return ok && (r.table.RFC(idx) > 0 || r.table.UC(idx) > 0)
 	}); err != nil {
-		t.Fatalf("%s: fsck after recovery+drain: %v", tag, err)
+		return fmt.Errorf("fsck after recovery+drain: %v", err)
 	}
-}
-
-// TestCrashSweepModesFsckAfterDedup extends the §V-C sweep to the other two
-// points of the cache-survival lattice. CrashDropDirty (the systematic sweep
-// in dedup_test.go) keeps only what was explicitly flushed; here every crash
-// point is also replayed under CrashKeepDirty (every unflushed store
-// survives eviction) and CrashEvictRandom (each line survives with p=1/2),
-// and after recovery the whole device must pass nova.Fsck with the
-// FACT-aware block-ownership callback.
-func TestCrashSweepModesFsckAfterDedup(t *testing.T) {
-	t.Parallel()
-	base := buildCrashBase(t)
-	probe := base.Clone()
-	rp, _ := attachRig(t, probe)
-	start := probe.PersistOps()
-	rp.engine.Drain()
-	total := probe.PersistOps() - start
-	if total < 10 {
-		t.Fatalf("suspiciously few persist points: %d", total)
-	}
-
-	crashAt := func(k int64) *pmem.Device {
-		work := base.Clone()
-		rw, _ := attachRig(t, work)
-		work.SetCrashAfter(k)
-		if !pmem.RunToCrash(func() { rw.engine.Drain() }) {
-			t.Fatalf("k=%d: expected crash (total=%d)", k, total)
-		}
-		return work
-	}
-
-	t.Run("KeepDirty", func(t *testing.T) {
-		// Deterministic, so sweep every persist point: the image where all
-		// cached stores survived must recover as cleanly as the flushed-only
-		// one.
-		for k := int64(1); k <= total; k++ {
-			img := crashAt(k).CrashImage(pmem.CrashKeepDirty, 0)
-			rec, _ := attachRig(t, img)
-			verifyPostRecovery(t, rec, k)
-			fsckAfterRecovery(t, rec, fmt.Sprintf("keep-dirty k=%d", k))
-		}
-	})
-
-	t.Run("EvictRandom", func(t *testing.T) {
-		// Randomized survival: sample the sweep and try several seeds per
-		// point to keep the runtime bounded.
-		step := total/17 + 1
-		for k := int64(1); k <= total; k += step {
-			for seed := int64(0); seed < 3; seed++ {
-				img := crashAt(k).CrashImage(pmem.CrashEvictRandom, seed*7919+k)
-				rec, _ := attachRig(t, img)
-				verifyPostRecovery(t, rec, k)
-				fsckAfterRecovery(t, rec, fmt.Sprintf("evict-random k=%d seed=%d", k, seed))
-			}
-		}
-	})
-}
-
-// TestCrashSweepReclaimKeepDirty replays the page-reclamation crash sweep
-// (overwrite of a shared deduplicated block) under CrashKeepDirty and checks
-// the shared block's other reference plus a full fsck.
-func TestCrashSweepReclaimKeepDirty(t *testing.T) {
-	t.Parallel()
-	build := func() *pmem.Device {
-		r := newRig(t)
-		r.write(t, "a", pages(1, 2))
-		r.write(t, "b", pages(1, 2))
-		r.engine.Drain()
-		return r.dev
-	}
-	op := func(r *rig) {
-		in, err := r.fs.Lookup("a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.fs.Write(in, 0, pages(8, 9), nova.FlagNeeded, obs.SpanContext{})
-		r.engine.Drain()
-	}
-	probe := build()
-	rp, _ := attachRig(t, probe)
-	start := probe.PersistOps()
-	op(rp)
-	total := probe.PersistOps() - start
-
-	for k := int64(1); k <= total; k++ {
-		work := build()
-		rw, _ := attachRig(t, work)
-		work.SetCrashAfter(k)
-		if !pmem.RunToCrash(func() { op(rw) }) {
-			t.Fatalf("k=%d: expected crash (total=%d)", k, total)
-		}
-		img := work.CrashImage(pmem.CrashKeepDirty, 0)
-		rec, _ := attachRig(t, img)
-		wantB := pages(1, 2)
-		if got := rec.read(t, "b", len(wantB)); string(got) != string(wantB) {
-			t.Fatalf("k=%d: shared data lost under keep-dirty", k)
-		}
-		fsckAfterRecovery(t, rec, fmt.Sprintf("reclaim keep-dirty k=%d", k))
-	}
+	return nil
 }
 
 // buildParallelCrashBase writes a batch of heavily duplicated files across
@@ -298,7 +199,9 @@ func verifyParallelRecovery(t *testing.T, r *rig, content map[string][]byte, tag
 			t.Fatalf("%s: block %d RFC=%d below recount %d after scrub", tag, block, got, want)
 		}
 	}
-	fsckAfterRecovery(t, r, tag)
+	if err := fsckAfterRecovery(r); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
 }
 
 // TestCrashSweepReclaimBatch crashes a batched release at every persist
@@ -312,6 +215,30 @@ func verifyParallelRecovery(t *testing.T, r *rig, content map[string][]byte, tag
 // eviction seed.
 func TestCrashSweepReclaimBatch(t *testing.T) {
 	t.Parallel()
+	modes := sampled(pmem.CrashDropDirty, pmem.CrashKeepDirty, pmem.CrashEvictRandom, pmem.CrashEvictRandom)
+	if raceEnabled { // each image is a 32 MB clone, mount and recovery
+		modes = sampled(pmem.CrashDropDirty, pmem.CrashEvictRandom)
+	}
+	for _, op := range reclaimOps(t) {
+		t.Run(op.name, func(t *testing.T) {
+			sweep(t, op.base, op.run, func(r *rig, _ int64) error { return verifyReclaimRecovery(r, op.ok) }, modes...)
+		})
+	}
+}
+
+// reclaimOp is one way x's extent is released: run does it on a recovered
+// clone of base, and ok reports whether x, as read back after recovery
+// (nil: gone), is one of the states the operation may leave.
+type reclaimOp struct {
+	name string
+	base *pmem.Device
+	run  func(r *rig) error
+	ok   func(x []byte) bool
+}
+
+// reclaimOps builds x's base image and returns the overwrite, truncate and
+// delete of x.
+func reclaimOps(t *testing.T) []reclaimOp {
 	r := newRig(t)
 	r.write(t, "keep", pages(1, 2))
 	x := r.write(t, "x", pages(1, 5))
@@ -319,92 +246,74 @@ func TestCrashSweepReclaimBatch(t *testing.T) {
 	if _, err := r.fs.Write(x, 2*nova.PageSize, pages(6, 7), nova.FlagNone, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	base := r.dev
 	oldX, newX := pages(1, 5, 6, 7), pages(20, 21, 22, 23)
-
-	for _, op := range []struct {
-		name string
-		run  func(r *rig) error
-		// ok reports whether x, as read back after recovery (nil: gone), is
-		// one of the states the operation may leave.
-		ok func(x []byte) bool
-	}{
-		{"overwrite", func(r *rig) error {
+	onX := func(fn func(r *rig, in *nova.Inode) error) func(r *rig) error {
+		return func(r *rig) error {
 			in, err := r.fs.Lookup("x")
 			if err != nil {
 				return err
 			}
-			_, err = r.fs.Write(in, 0, newX, nova.FlagNone, obs.SpanContext{})
+			return fn(r, in)
+		}
+	}
+	return []reclaimOp{
+		{"overwrite", r.dev, onX(func(r *rig, in *nova.Inode) error {
+			_, err := r.fs.Write(in, 0, newX, nova.FlagNone, obs.SpanContext{})
 			return err
-		}, func(x []byte) bool { return bytes.Equal(x, oldX) || bytes.Equal(x, newX) }},
-		{"truncate", func(r *rig) error {
-			in, err := r.fs.Lookup("x")
-			if err != nil {
-				return err
-			}
+		}), func(x []byte) bool { return bytes.Equal(x, oldX) || bytes.Equal(x, newX) }},
+		{"truncate", r.dev, onX(func(r *rig, in *nova.Inode) error {
 			return r.fs.Truncate(in, 0, nova.FlagNone, obs.SpanContext{})
-		}, func(x []byte) bool { return bytes.Equal(x, oldX) || (x != nil && len(x) == 0) }},
-		{"delete", func(r *rig) error { return r.fs.Delete("x") },
+		}), func(x []byte) bool { return bytes.Equal(x, oldX) || (x != nil && len(x) == 0) }},
+		{"delete", r.dev, func(r *rig) error { return r.fs.Delete("x") },
 			func(x []byte) bool { return x == nil || bytes.Equal(x, oldX) }},
-	} {
-		probe := base.Clone()
-		rp, _ := attachRig(t, probe)
-		start := probe.PersistOps()
-		if err := op.run(rp); err != nil {
-			t.Fatalf("%s: %v", op.name, err)
-		}
-		total := probe.PersistOps() - start
-		if total < 4 {
-			t.Fatalf("%s: suspiciously few persist points: %d", op.name, total)
-		}
-		for k := int64(1); k <= total; k++ {
-			// All but the last few points of the overwrite are the line-by-
-			// line stores of its new pages, before anything is committed:
-			// sample those, sweep the rest.
-			if total-k > 16 && k%37 != 1 {
-				continue
-			}
-			images := []struct {
-				mode pmem.CrashMode
-				seed int64
-			}{{pmem.CrashDropDirty, 0}, {pmem.CrashEvictRandom, 15485863*k + 1}, {pmem.CrashKeepDirty, 0}, {pmem.CrashEvictRandom, 15485863*k + 2}}
-			if raceEnabled {
-				images = images[:2] // each image is a 32 MB clone, mount and recovery
-			}
-			for _, m := range images {
-				tag := fmt.Sprintf("%s k=%d/%d mode=%d seed=%d", op.name, k, total, m.mode, m.seed)
-				work := base.Clone()
-				rw, _ := attachRig(t, work)
-				work.SetCrashAfter(k)
-				if !pmem.RunToCrash(func() { op.run(rw) }) {
-					t.Fatalf("%s: expected crash", tag)
-				}
-				rec, _ := attachRig(t, work.CrashImage(m.mode, m.seed))
-				verifyReclaimRecovery(t, rec, tag, op.ok)
-			}
-		}
 	}
 }
 
-// verifyReclaimRecovery checks one recovered image of the reclaim sweep.
-func verifyReclaimRecovery(t *testing.T, r *rig, tag string, xOK func([]byte) bool) {
-	t.Helper()
-	if err := r.table.CheckInvariants(); err != nil {
-		t.Fatalf("%s: FACT invariants: %v", tag, err)
+// sampled returns one sweep mode per distinct listed mode (a repeated
+// CrashEvictRandom adds a seed) that visits every point of the last 17 but
+// only every 37th before them: those are the line-by-line stores of the
+// overwrite's new pages, before anything is committed.
+func sampled(modes ...pmem.CrashMode) []pmem.SweepMode {
+	var out []pmem.SweepMode
+	for _, m := range modes {
+		if i := len(out) - 1; i >= 0 && out[i].Mode == m {
+			out[i].Seeds++
+			continue
+		}
+		out = append(out, pmem.SweepMode{Mode: m, Seeds: 1, Stride: 37, Tail: 17})
 	}
-	if want := pages(1, 2); !bytes.Equal(r.read(t, "keep", len(want)), want) {
-		t.Fatalf("%s: shared data lost: keep corrupted", tag)
+	return out
+}
+
+// verifyReclaimRecovery checks one recovered image of the reclaim sweep.
+func verifyReclaimRecovery(r *rig, xOK func([]byte) bool) error {
+	if err := r.table.CheckInvariants(); err != nil {
+		return fmt.Errorf("FACT invariants: %v", err)
+	}
+	if got, err := r.readFile("keep", 2*ChunkSize); err != nil || !bytes.Equal(got, pages(1, 2)) {
+		return fmt.Errorf("shared data lost: keep corrupted (%v)", err)
 	}
 	var x []byte
 	if in, err := r.fs.Lookup("x"); err == nil {
-		x = r.read(t, "x", int(in.Size()))
-		if x == nil {
-			x = []byte{}
+		if x, err = r.readFile("x", int(in.Size())); err != nil {
+			return err
 		}
 	}
 	if !xOK(x) {
-		t.Fatalf("%s: x (%d bytes) is neither the old nor the new state", tag, len(x))
+		return fmt.Errorf("x (%d bytes) is neither the old nor the new state", len(x))
 	}
+	if err := rfcCoversRefs(r); err != nil {
+		return err
+	}
+	return fsckAfterRecovery(r)
+}
+
+// rfcCoversRefs drains and scrubs a recovered rig, then recounts every
+// file's mappings against the FACT. A crash may leave a decrement undone
+// (an over-count only the scrubber repairs, once the block is unused),
+// never an under-count; and after the scrub no entry holds a block nothing
+// maps.
+func rfcCoversRefs(r *rig) error {
 	r.engine.Drain()
 	r.engine.ScrubNow()
 	refs := make(map[uint64]int)
@@ -416,19 +325,16 @@ func verifyReclaimRecovery(t *testing.T, r *rig, tag string, xOK func([]byte) bo
 		})
 		in.Unlock()
 	})
-	// A crash may leave a decrement undone (an over-count only the scrubber
-	// repairs, once the block is unused), never an under-count; and after
-	// the scrub no entry holds a block nothing maps.
 	for i := int64(0); i < r.table.TotalEntries(); i++ {
 		e := r.table.EntryAt(uint64(i))
 		if e.RFC == 0 && e.UC == 0 {
 			continue
 		}
 		if e.UC != 0 || refs[e.Block] == 0 || int(e.RFC) < refs[e.Block] {
-			t.Fatalf("%s: entry %d block %d RFC=%d UC=%d, radix recount %d", tag, i, e.Block, e.RFC, e.UC, refs[e.Block])
+			return fmt.Errorf("entry %d block %d RFC=%d UC=%d, radix recount %d", i, e.Block, e.RFC, e.UC, refs[e.Block])
 		}
 	}
-	fsckAfterRecovery(t, r, tag)
+	return nil
 }
 
 // TestCrashSweepDeferredReclaim is the reclaim sweep with the release
@@ -442,74 +348,24 @@ func verifyReclaimRecovery(t *testing.T, r *rig, tag string, xOK func([]byte) bo
 // radix trees and fsck hold as in the synchronous sweep.
 func TestCrashSweepDeferredReclaim(t *testing.T) {
 	t.Parallel()
-	r := newRig(t)
-	r.write(t, "keep", pages(1, 2))
-	x := r.write(t, "x", pages(1, 5))
-	r.engine.Drain()
-	if _, err := r.fs.Write(x, 2*nova.PageSize, pages(6, 7), nova.FlagNone, obs.SpanContext{}); err != nil {
-		t.Fatal(err)
+	modes := sampled(pmem.CrashDropDirty, pmem.CrashKeepDirty, pmem.CrashEvictRandom)
+	if raceEnabled {
+		modes = modes[:2]
 	}
-	base := r.dev
-	oldX, newX := pages(1, 5, 6, 7), pages(20, 21, 22, 23)
-	lookupX := func(r *rig) *nova.Inode {
-		in, err := r.fs.Lookup("x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
-	for _, op := range []struct {
-		name string
-		run  func(r *rig) error
-		ok   func(x []byte) bool
-	}{
-		{"overwrite", func(r *rig) error {
-			_, err := r.fs.Write(lookupX(r), 0, newX, nova.FlagNone, obs.SpanContext{})
-			return err
-		},
-			func(x []byte) bool { return bytes.Equal(x, oldX) || bytes.Equal(x, newX) }},
-		{"truncate", func(r *rig) error { return r.fs.Truncate(lookupX(r), 0, nova.FlagNone, obs.SpanContext{}) },
-			func(x []byte) bool { return bytes.Equal(x, oldX) || (x != nil && len(x) == 0) }},
-		{"delete", func(r *rig) error { return r.fs.Delete("x") },
-			func(x []byte) bool { return x == nil || bytes.Equal(x, oldX) }},
-	} {
-		deferred := func(r *rig) {
-			r.fs.DeferReclaim(func() {})
-			if err := op.run(r); err != nil {
-				t.Fatalf("%s: %v", op.name, err)
-			}
-			if n := r.fs.ReclaimQueued(); n != 4 {
-				t.Fatalf("%s: %d blocks queued, want the extent's 4", op.name, n)
-			}
-			r.fs.DrainReclaim()
-		}
-		probe := base.Clone()
-		rp, _ := attachRig(t, probe)
-		start := probe.PersistOps()
-		deferred(rp)
-		total := probe.PersistOps() - start
-		images := []struct {
-			mode pmem.CrashMode
-			seed int64
-		}{{pmem.CrashDropDirty, 0}, {pmem.CrashKeepDirty, 0}, {pmem.CrashEvictRandom, 1}}
-		if raceEnabled {
-			images = images[:2]
-		}
-		for k := int64(1); k <= total; k++ {
-			if total-k > 16 && k%37 != 1 { // sample the overwrite's page stores
-				continue
-			}
-			for _, m := range images {
-				tag := fmt.Sprintf("deferred %s k=%d/%d mode=%d", op.name, k, total, m.mode)
-				work := base.Clone()
-				rw, _ := attachRig(t, work)
-				work.SetCrashAfter(k)
-				if !pmem.RunToCrash(func() { deferred(rw) }) {
-					t.Fatalf("%s: expected crash", tag)
+	for _, op := range reclaimOps(t) {
+		t.Run(op.name, func(t *testing.T) {
+			deferred := func(r *rig) error {
+				r.fs.DeferReclaim(func() {})
+				if err := op.run(r); err != nil {
+					return err
 				}
-				rec, _ := attachRig(t, work.CrashImage(m.mode, 15485863*k+m.seed))
-				verifyReclaimRecovery(t, rec, tag, op.ok)
+				if n := r.fs.ReclaimQueued(); n != 4 {
+					return fmt.Errorf("%d blocks queued, want the extent's 4", n)
+				}
+				r.fs.DrainReclaim()
+				return nil
 			}
-		}
+			sweep(t, op.base, deferred, func(r *rig, _ int64) error { return verifyReclaimRecovery(r, op.ok) }, modes...)
+		})
 	}
 }

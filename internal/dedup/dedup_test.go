@@ -34,10 +34,20 @@ func newRig(t testing.TB) *rig {
 // newRigInodes is newRig with room for maxInodes inodes, the root included.
 func newRigInodes(t testing.TB, maxInodes int64) *rig {
 	t.Helper()
+	r, err := makeRig(maxInodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// makeRig is newRigInodes for sweep setups, which run off the test
+// goroutine and so return errors instead of failing the test.
+func makeRig(maxInodes int64) (*rig, error) {
 	dev := pmem.New(testDevSize, pmem.ProfileZero)
 	fs, err := nova.Mkfs(dev, maxInodes)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	table := fact.New(dev, fact.Config{
 		Base:       fs.Geo.FactOff,
@@ -46,16 +56,24 @@ func newRigInodes(t testing.TB, maxInodes int64) *rig {
 		NumData:    fs.Geo.NumDataBlocks,
 	})
 	table.ZeroFill()
-	engine := NewEngine(fs, table)
-	return &rig{dev: dev, fs: fs, table: table, engine: engine}
+	return &rig{dev: dev, fs: fs, table: table, engine: NewEngine(fs, table)}, nil
 }
 
 // attachRig remounts a crashed or unmounted device and runs full recovery.
 func attachRig(t testing.TB, dev *pmem.Device) (*rig, RecoveryReport) {
 	t.Helper()
-	fs, scan, err := nova.Mount(dev)
+	r, rep, err := attach(dev)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return r, rep
+}
+
+// attach is attachRig returning its error, for sweep setups and checks.
+func attach(dev *pmem.Device) (*rig, RecoveryReport, error) {
+	fs, scan, err := nova.Mount(dev)
+	if err != nil {
+		return nil, RecoveryReport{}, err
 	}
 	table := fact.Attach(dev, fact.Config{
 		Base:       fs.Geo.FactOff,
@@ -65,10 +83,30 @@ func attachRig(t testing.TB, dev *pmem.Device) (*rig, RecoveryReport) {
 	})
 	engine := NewEngine(fs, table)
 	rep, err := Recover(engine, scan)
+	return &rig{dev: dev, fs: fs, table: table, engine: engine}, rep, err
+}
+
+// sweep runs pmem.Sweep over op applied to a rig recovered from a clone of
+// base, checking the rig recovered from each crash image, and fails the
+// test with the lowest failing point.
+func sweep(t *testing.T, base *pmem.Device, op func(r *rig) error, check func(r *rig, k int64) error, modes ...pmem.SweepMode) pmem.SweepResult {
+	t.Helper()
+	res, err := pmem.Sweep(func() (*pmem.Device, func() error, error) {
+		work := base.Clone()
+		r, _, err := attach(work)
+		return work, func() error { return op(r) }, err
+	}, func(img *pmem.Device, k int64) error {
+		r, _, err := attach(img)
+		if err != nil {
+			return err
+		}
+		return check(r, k)
+	}, modes...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{dev: dev, fs: fs, table: table, engine: engine}, rep
+	t.Logf("%d persist points, %d crashed, %d images checked", res.Total, res.Points, res.Images)
+	return res
 }
 
 func (r *rig) write(t testing.TB, name string, data []byte) *nova.Inode {
@@ -85,16 +123,22 @@ func (r *rig) write(t testing.TB, name string, data []byte) *nova.Inode {
 
 func (r *rig) read(t testing.TB, name string, n int) []byte {
 	t.Helper()
-	in, err := r.fs.Lookup(name)
+	got, err := r.readFile(name, n)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return got
+}
+
+// readFile reads up to n bytes of the named file from offset 0.
+func (r *rig) readFile(name string, n int) ([]byte, error) {
+	in, err := r.fs.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	buf := make([]byte, n)
 	got, err := r.fs.Read(in, 0, buf, obs.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf[:got]
+	return buf[:got], err
 }
 
 // pages builds n pages of content; identical seeds give identical pages.
@@ -834,35 +878,36 @@ func buildCrashBase(t *testing.T) *pmem.Device {
 	return dev
 }
 
-// verifyPostRecovery checks every §V-C invariant after a crash+recovery.
-func verifyPostRecovery(t *testing.T, r *rig, k int64) {
-	t.Helper()
+// postRecovery checks every §V-C invariant after a crash+recovery.
+func postRecovery(r *rig) error {
 	if err := r.table.CheckInvariants(); err != nil {
-		t.Fatalf("k=%d: FACT invariants: %v", k, err)
+		return fmt.Errorf("FACT invariants: %v", err)
 	}
 	wantA, wantB := pages(1, 2, 3), pages(1, 9, 3)
-	if got := r.read(t, "a", len(wantA)); !bytes.Equal(got, wantA) {
-		t.Fatalf("k=%d: file a corrupted", k)
+	files := func(when string) error {
+		for name, want := range map[string][]byte{"a": wantA, "b": wantB} {
+			if got, err := r.readFile(name, len(want)); err != nil || !bytes.Equal(got, want) {
+				return fmt.Errorf("file %s corrupted%s (%v)", name, when, err)
+			}
+		}
+		return nil
 	}
-	if got := r.read(t, "b", len(wantB)); !bytes.Equal(got, wantB) {
-		t.Fatalf("k=%d: file b corrupted", k)
+	if err := files(""); err != nil {
+		return err
 	}
 	// No UC survives recovery.
 	for i := int64(0); i < r.table.TotalEntries(); i++ {
 		if r.table.UC(uint64(i)) != 0 {
-			t.Fatalf("k=%d: UC leaked on entry %d", k, i)
+			return fmt.Errorf("UC leaked on entry %d", i)
 		}
 	}
 	// Finish deduplication after recovery and re-verify content + sharing.
 	r.engine.Drain()
-	if got := r.read(t, "a", len(wantA)); !bytes.Equal(got, wantA) {
-		t.Fatalf("k=%d: file a corrupted after post-recovery dedup", k)
-	}
-	if got := r.read(t, "b", len(wantB)); !bytes.Equal(got, wantB) {
-		t.Fatalf("k=%d: file b corrupted after post-recovery dedup", k)
+	if err := files(" after post-recovery dedup"); err != nil {
+		return err
 	}
 	if err := r.table.CheckInvariants(); err != nil {
-		t.Fatalf("k=%d: invariants after drain: %v", k, err)
+		return fmt.Errorf("invariants after drain: %v", err)
 	}
 	// The duplicate pages (1 and 3) must end up shared.
 	ina, _ := r.fs.Lookup("a")
@@ -871,134 +916,81 @@ func verifyPostRecovery(t *testing.T, r *rig, k int64) {
 		ba, _, _ := ina.Mapping(pg)
 		bb, _, _ := inb.Mapping(pg)
 		if ba != bb {
-			t.Fatalf("k=%d: page %d not shared after recovery+drain", k, pg)
+			return fmt.Errorf("page %d not shared after recovery+drain", pg)
 		}
 	}
+	return nil
 }
 
+// TestCrashSweepDuringDedup is the centerpiece §V-C experiment: crash at
+// EVERY persist point inside the deduplication transaction, recover, and
+// verify consistency. Each point is checked on the three points of the
+// cache-survival lattice: CrashDropDirty keeps only what was explicitly
+// flushed, CrashKeepDirty keeps every unflushed store, and CrashEvictRandom
+// keeps each line with p=1/2 (sampled: every other point, three seeds).
+// After the §V-C checks the whole device must pass nova.Fsck with the
+// FACT-aware block-ownership callback.
 func TestCrashSweepDuringDedup(t *testing.T) {
 	t.Parallel()
-	// The centerpiece §V-C experiment: crash at EVERY persist point inside
-	// the deduplication transaction, recover, and verify consistency.
-	// Count the persist points first.
-	base := buildCrashBase(t)
-	probe := base.Clone()
-	rp, _ := attachRig(t, probe)
-	start := probe.PersistOps()
-	rp.engine.Drain()
-	total := probe.PersistOps() - start
-	if total < 10 {
-		t.Fatalf("suspiciously few persist points: %d", total)
-	}
-
-	for k := int64(1); k <= total; k++ {
-		work := base.Clone()
-		rw, _ := attachRig(t, work)
-		work.SetCrashAfter(k)
-		crashed := pmem.RunToCrash(func() { rw.engine.Drain() })
-		if !crashed {
-			t.Fatalf("k=%d: expected crash (total=%d)", k, total)
-		}
-		img := work.CrashImage(pmem.CrashDropDirty, k)
-		rec, _ := attachRig(t, img)
-		verifyPostRecovery(t, rec, k)
-	}
-}
-
-func TestCrashSweepDuringDedupWithEviction(t *testing.T) {
-	t.Parallel()
-	// Same sweep but with random cache-line eviction at the crash: stores
-	// that were never flushed may still persist. Recovery must hold.
-	base := buildCrashBase(t)
-	probe := base.Clone()
-	rp, _ := attachRig(t, probe)
-	start := probe.PersistOps()
-	rp.engine.Drain()
-	total := probe.PersistOps() - start
-
-	step := total/17 + 1 // sample the sweep to keep runtime bounded
-	for k := int64(1); k <= total; k += step {
-		for seed := int64(0); seed < 3; seed++ {
-			work := base.Clone()
-			rw, _ := attachRig(t, work)
-			work.SetCrashAfter(k)
-			if !pmem.RunToCrash(func() { rw.engine.Drain() }) {
-				t.Fatalf("k=%d: expected crash", k)
+	res := sweep(t, buildCrashBase(t), func(r *rig) error { r.engine.Drain(); return nil },
+		func(r *rig, _ int64) error {
+			if err := postRecovery(r); err != nil {
+				return err
 			}
-			img := work.CrashImage(pmem.CrashEvictRandom, seed*7919+k)
-			rec, _ := attachRig(t, img)
-			verifyPostRecovery(t, rec, k)
-		}
+			if err := rfcCoversRefs(r); err != nil {
+				return err
+			}
+			return fsckAfterRecovery(r)
+		},
+		pmem.SweepMode{Mode: pmem.CrashDropDirty},
+		pmem.SweepMode{Mode: pmem.CrashKeepDirty},
+		pmem.SweepMode{Mode: pmem.CrashEvictRandom, Seeds: 3, Stride: 2})
+	if res.Total < 10 {
+		t.Fatalf("suspiciously few persist points: %d", res.Total)
 	}
 }
 
+// TestCrashSweepDuringReclaim is §V-C "Failures during Page Reclamation":
+// crash at every persist point of an overwrite that reclaims a shared
+// deduplicated block, under CrashDropDirty and CrashKeepDirty. File b must
+// NEVER lose its data, whatever happened to a's overwrite — this is exactly
+// the dangling-pointer hazard the count-based scheme prevents — a reads as
+// old or new per page, and the device passes fsck.
 func TestCrashSweepDuringReclaim(t *testing.T) {
 	t.Parallel()
-	// §V-C "Failures during Page Reclamation": crash at every persist point
-	// of an overwrite that reclaims a shared deduplicated block.
-	build := func() *pmem.Device {
-		dev := pmem.New(testDevSize, pmem.ProfileZero)
-		fs, _ := nova.Mkfs(dev, 64)
-		table := fact.New(dev, fact.Config{
-			Base:       fs.Geo.FactOff,
-			PrefixBits: fs.Geo.FactPrefixBits,
-			DataStart:  fs.Geo.DataStartBlock,
-			NumData:    fs.Geo.NumDataBlocks,
-		})
-		table.ZeroFill()
-		e := NewEngine(fs, table)
-		in1, _ := fs.Create("a")
-		fs.Write(in1, 0, pages(1, 2), nova.FlagNeeded, obs.SpanContext{})
-		in2, _ := fs.Create("b")
-		fs.Write(in2, 0, pages(1, 2), nova.FlagNeeded, obs.SpanContext{})
-		e.Drain()
-		return dev
-	}
-	op := func(r *rig) {
+	r := newRig(t)
+	r.write(t, "a", pages(1, 2))
+	r.write(t, "b", pages(1, 2))
+	r.engine.Drain()
+	op := func(r *rig) error {
 		in, err := r.fs.Lookup("a")
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		r.fs.Write(in, 0, pages(8, 9), nova.FlagNeeded, obs.SpanContext{})
 		r.engine.Drain()
+		return nil
 	}
-	probe := build()
-	rp, _ := attachRig(t, probe)
-	start := probe.PersistOps()
-	op(rp)
-	total := probe.PersistOps() - start
-
-	wantB := pages(1, 2)
-	for k := int64(1); k <= total; k++ {
-		work := build()
-		rw, _ := attachRig(t, work)
-		work.SetCrashAfter(k)
-		if !pmem.RunToCrash(func() { op(rw) }) {
-			t.Fatalf("k=%d: expected crash (total %d)", k, total)
-		}
-		img := work.CrashImage(pmem.CrashDropDirty, k)
-		rec, _ := attachRig(t, img)
+	sweep(t, r.dev, op, func(rec *rig, _ int64) error {
 		if err := rec.table.CheckInvariants(); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
+			return err
 		}
-		// File b must NEVER lose its data, whatever happened to a's
-		// overwrite — this is exactly the dangling-pointer hazard the
-		// count-based scheme prevents.
-		if got := rec.read(t, "b", len(wantB)); !bytes.Equal(got, wantB) {
-			t.Fatalf("k=%d: shared data lost: b corrupted", k)
+		if got, err := rec.readFile("b", 2*ChunkSize); err != nil || !bytes.Equal(got, pages(1, 2)) {
+			return fmt.Errorf("shared data lost: b corrupted (%v)", err)
 		}
-		// File a shows either the old or the new content per page.
-		ina, _ := rec.fs.Lookup("a")
+		ina, err := rec.fs.Lookup("a")
+		if err != nil {
+			return err
+		}
 		buf := make([]byte, ChunkSize)
 		for pg := uint64(0); pg < 2; pg++ {
 			rec.fs.Read(ina, pg*ChunkSize, buf, obs.SpanContext{})
-			old := pages(byte(1 + pg))
-			new_ := pages(byte(8 + pg))
-			if !bytes.Equal(buf, old) && !bytes.Equal(buf, new_) {
-				t.Fatalf("k=%d: page %d is neither old nor new", k, pg)
+			if !bytes.Equal(buf, pages(byte(1+pg))) && !bytes.Equal(buf, pages(byte(8+pg))) {
+				return fmt.Errorf("page %d is neither old nor new", pg)
 			}
 		}
-	}
+		return fsckAfterRecovery(rec)
+	}, pmem.SweepMode{Mode: pmem.CrashDropDirty}, pmem.SweepMode{Mode: pmem.CrashKeepDirty})
 }
 
 func TestRecoveryRebuildsDWQFromFlags(t *testing.T) {

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"denova/internal/fact"
@@ -129,55 +130,46 @@ func TestHandlingIII_RequeuedNotResumed(t *testing.T) {
 // transactions use the same UC/RFC discipline).
 func TestInlineCrashSweep(t *testing.T) {
 	t.Parallel()
-	prep := func() *rig {
-		r := newRig(t)
+	setup := func() (*pmem.Device, func() error, error) {
+		r, err := makeRig(256)
+		if err != nil {
+			return nil, nil, err
+		}
 		in, err := r.fs.Create("base")
+		if err == nil {
+			err = r.engine.WriteInline(in, 0, pages(1, 2))
+		}
+		return r.dev, func() error {
+			in, err := r.fs.Create("twin")
+			if err != nil {
+				return err
+			}
+			return r.engine.WriteInline(in, 0, pages(1, 3)) // page 0 duplicates base's
+		}, err
+	}
+	res, err := pmem.Sweep(setup, func(img *pmem.Device, _ int64) error {
+		rec, _, err := attach(img)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if err := r.engine.WriteInline(in, 0, pages(1, 2)); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	op := func(r *rig) {
-		in, err := r.fs.Create("twin")
-		if err != nil {
-			return
-		}
-		r.engine.WriteInline(in, 0, pages(1, 3)) // page 0 duplicates base's
-	}
-	probe := prep()
-	start := probe.dev.PersistOps()
-	op(probe)
-	total := probe.dev.PersistOps() - start
-	if total == 0 {
-		t.Fatal("no persist points")
-	}
-
-	wantBase := pages(1, 2)
-	for k := int64(1); k <= total; k++ {
-		r := prep()
-		r.dev.SetCrashAfter(k)
-		pmem.RunToCrash(func() { op(r) })
-		img := r.dev.CrashImage(pmem.CrashDropDirty, k)
-		rec, _ := attachRig(t, img)
 		if err := rec.table.CheckInvariants(); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
+			return err
 		}
-		if !bytes.Equal(rec.read(t, "base", len(wantBase)), wantBase) {
-			t.Fatalf("k=%d: pre-existing file corrupted", k)
+		if got, err := rec.readFile("base", 2*ChunkSize); err != nil || !bytes.Equal(got, pages(1, 2)) {
+			return fmt.Errorf("pre-existing file corrupted (%v)", err)
 		}
-		// If "twin" is visible, its committed prefix must be correct and
-		// must still share page 0 with base once contents agree.
+		// If "twin" is visible, its committed prefix must be correct.
 		if in, err := rec.fs.Lookup("twin"); err == nil && in.Size() > 0 {
-			got := rec.read(t, "twin", int(in.Size()))
-			want := pages(1, 3)[:in.Size()]
-			if !bytes.Equal(got, want) {
-				t.Fatalf("k=%d: twin content wrong", k)
+			if got, err := rec.readFile("twin", int(in.Size())); err != nil || !bytes.Equal(got, pages(1, 3)[:in.Size()]) {
+				return fmt.Errorf("twin content wrong (%v)", err)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Logf("%d persist points, %d crashed, %d images checked", res.Total, res.Points, res.Images)
 }
 
 // TestFACTSizingGuarantee validates the §IV-C worst-case rule: with

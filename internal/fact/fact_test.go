@@ -68,6 +68,49 @@ func recoverAll(t testing.TB, tab *Table) RecoverStats {
 	return rs
 }
 
+// sweepTable runs pmem.Sweep over op on the table build returns and checks
+// each crash image after recoverAll's two calls.
+func sweepTable(t *testing.T, build func() (*pmem.Device, *Table, error), op func(tab *Table) error, check func(rt *Table) error, modes ...pmem.SweepMode) {
+	t.Helper()
+	res, err := pmem.Sweep(func() (*pmem.Device, func() error, error) {
+		dev, tab, err := build()
+		return dev, func() error { return op(tab) }, err
+	}, func(img *pmem.Device, _ int64) error {
+		rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
+		if _, _, err := rt.Sweep(rt.WalkChains(), nil, func(uint64) bool { return true }); err != nil {
+			return err
+		}
+		if err := rt.CheckInvariants(); err != nil {
+			return fmt.Errorf("invariants violated after recovery: %v", err)
+		}
+		return check(rt)
+	}, modes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d persist points, %d crashed, %d images checked", res.Total, res.Points, res.Images)
+}
+
+// allModes is every point of the cache-survival lattice, with two
+// eviction seeds.
+var allModes = []pmem.SweepMode{{Mode: pmem.CrashDropDirty}, {Mode: pmem.CrashKeepDirty}, {Mode: pmem.CrashEvictRandom, Seeds: 2}}
+
+// commitAll builds a table and commits one entry per (prefix, tag) pair
+// listed, the tag-th at block tDataStart+tag.
+func commitAll(prefix uint64, tags ...byte) (*pmem.Device, *Table, error) {
+	dev := pmem.New(64*pmem.PageSize, pmem.ProfileZero)
+	tab := New(dev, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
+	tab.ZeroFill()
+	for _, i := range tags {
+		res, err := tab.BeginTxn(fpWithPrefix(prefix, i), tDataStart+uint64(i))
+		if err != nil {
+			return nil, nil, err
+		}
+		tab.CommitTxn(res.Idx)
+	}
+	return dev, tab, nil
+}
+
 func checkInv(t *testing.T, tab *Table) {
 	t.Helper()
 	if err := tab.CheckInvariants(); err != nil {
@@ -388,61 +431,47 @@ func TestReorderCrashSweep(t *testing.T) {
 	t.Parallel()
 	// Crash at every persist point inside ReorderChain; after recovery the
 	// chain must contain exactly the same entries, consistently linked.
-	build := func() (*pmem.Device, *Table, map[uint64]bool) {
-		dev, tab := newTable(t)
-		members := map[uint64]bool{}
-		for i := byte(1); i <= 5; i++ {
-			fp := fpWithPrefix(20, i)
-			res, err := tab.BeginTxn(fp, tDataStart+uint64(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab.CommitTxn(res.Idx)
-			members[res.Idx] = true
-			for r := 0; r < int(i); r++ { // varied RFCs force a real reorder
-				d, _ := tab.BeginTxn(fp, tDataStart+60)
-				tab.CommitTxn(d.Idx)
+	build := func() (*pmem.Device, *Table, error) {
+		dev, tab, err := commitAll(20, 1, 2, 3, 4, 5)
+		for i := byte(1); i <= 5 && err == nil; i++ {
+			for r := 0; r < int(i) && err == nil; r++ { // varied RFCs force a real reorder
+				var d TxnResult
+				if d, err = tab.BeginTxn(fpWithPrefix(20, i), tDataStart+60); err == nil {
+					tab.CommitTxn(d.Idx)
+				}
 			}
 		}
-		return dev, tab, members
+		return dev, tab, err
 	}
-	// Count persist points of one reorder.
-	dev0, tab0, _ := build()
-	before := dev0.PersistOps()
-	if !tab0.ReorderChain(20) {
-		t.Fatal("reorder was a no-op; test needs a real reorder")
+	_, tab, err := build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := dev0.PersistOps() - before
-
-	for k := int64(1); k <= total; k++ {
-		dev, tab, members := build()
-		dev.SetCrashAfter(dev.PersistOps() - dev.PersistOps() + k + (dev.PersistOps() * 0)) // k persist points from now
-		dev.SetCrashAfter(k)
-		crashed := pmem.RunToCrash(func() { tab.ReorderChain(20) })
-		if !crashed {
-			t.Fatalf("k=%d: no crash (total=%d)", k, total)
+	members := map[uint64]bool{}
+	for _, idx := range tab.ChainOf(20) {
+		members[idx] = true
+	}
+	sweepTable(t, build, func(tab *Table) error {
+		if !tab.ReorderChain(20) {
+			return fmt.Errorf("reorder was a no-op; test needs a real reorder")
 		}
-		img := dev.CrashImage(pmem.CrashDropDirty, k)
-		rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-		recoverAll(t, rt)
-		if err := rt.CheckInvariants(); err != nil {
-			t.Fatalf("k=%d: invariants violated after recovery: %v", k, err)
-		}
+		return nil
+	}, func(rt *Table) error {
 		chain := rt.ChainOf(20)
 		got := map[uint64]bool{}
-		for _, idx := range chain[1:] {
+		for _, idx := range chain {
 			got[idx] = true
 		}
-		got[chain[0]] = true
-		if len(got) != len(members)+0 {
-			t.Fatalf("k=%d: chain lost/gained entries: %v", k, chain)
+		if len(got) != len(members) {
+			return fmt.Errorf("chain lost/gained entries: %v", chain)
 		}
 		for idx := range members {
 			if !got[idx] {
-				t.Fatalf("k=%d: entry %d missing after recovery", k, idx)
+				return fmt.Errorf("entry %d missing after recovery", idx)
 			}
 		}
-	}
+		return nil
+	})
 }
 
 func TestInsertCrashSweep(t *testing.T) {
@@ -455,53 +484,29 @@ func TestInsertCrashSweep(t *testing.T) {
 	// invariants, keep the committed entries, and discard the open insert.
 	for _, tc := range []struct {
 		name      string
-		committed int // entries already in chain 30
-	}{{"empty head", 0}, {"behind the head", 1}, {"chain tail", 3}} {
-		prep := func() (*pmem.Device, *Table) {
-			dev, tab := newTable(t)
-			for i := 1; i <= tc.committed; i++ {
-				res := mustBegin(t, tab, fpWithPrefix(30, byte(i)), tDataStart+uint64(i))
-				tab.CommitTxn(res.Idx)
-			}
-			return dev, tab
-		}
-		insert := func(tab *Table) { tab.BeginTxn(fpWithPrefix(30, 99), tDataStart+20) }
-		dev0, tab0 := prep()
-		base := dev0.PersistOps()
-		insert(tab0)
-		total := dev0.PersistOps() - base
-
-		for k := int64(1); k <= total; k++ {
-			for _, m := range []struct {
-				mode pmem.CrashMode
-				seed int64
-			}{{pmem.CrashDropDirty, 0}, {pmem.CrashKeepDirty, 0}, {pmem.CrashEvictRandom, 7919*k + 1}, {pmem.CrashEvictRandom, 7919*k + 2}} {
-				tag := fmt.Sprintf("%s k=%d/%d mode=%d seed=%d", tc.name, k, total, m.mode, m.seed)
-				dev, tab := prep()
-				dev.SetCrashAfter(k)
-				if !pmem.RunToCrash(func() { insert(tab) }) {
-					t.Fatalf("%s: no crash", tag)
-				}
-				img := dev.CrashImage(m.mode, m.seed)
-				rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-				recoverAll(t, rt)
-				if err := rt.CheckInvariants(); err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				for i := 1; i <= tc.committed; i++ {
-					idx, block, ok := rt.Lookup(fpWithPrefix(30, byte(i)))
-					if !ok || block != tDataStart+uint64(i) || rt.RFC(idx) != 1 {
-						t.Fatalf("%s: committed entry %d lost or damaged (found=%v block=%d)", tag, i, ok, block)
+		committed []byte // tags of the entries already in chain 30
+	}{{"empty head", nil}, {"behind the head", []byte{1}}, {"chain tail", []byte{1, 2, 3}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sweepTable(t, func() (*pmem.Device, *Table, error) { return commitAll(30, tc.committed...) },
+				func(tab *Table) error {
+					_, err := tab.BeginTxn(fpWithPrefix(30, 99), tDataStart+20)
+					return err
+				}, func(rt *Table) error {
+					for _, i := range tc.committed {
+						idx, block, ok := rt.Lookup(fpWithPrefix(30, i))
+						if !ok || block != tDataStart+uint64(i) || rt.RFC(idx) != 1 {
+							return fmt.Errorf("committed entry %d lost or damaged (found=%v block=%d)", i, ok, block)
+						}
 					}
-				}
-				if _, _, ok := rt.Lookup(fpWithPrefix(30, 99)); ok {
-					t.Fatalf("%s: uncommitted insert survived recovery", tag)
-				}
-				if got, want := rt.LiveEntries(), int64(tc.committed); got != want {
-					t.Fatalf("%s: %d live entries, want %d", tag, got, want)
-				}
-			}
-		}
+					if _, _, ok := rt.Lookup(fpWithPrefix(30, 99)); ok {
+						return fmt.Errorf("uncommitted insert survived recovery")
+					}
+					if got, want := rt.LiveEntries(), int64(len(tc.committed)); got != want {
+						return fmt.Errorf("%d live entries, want %d", got, want)
+					}
+					return nil
+				}, allModes...)
+		})
 	}
 }
 
@@ -770,55 +775,31 @@ func TestRemoveCrashSweep(t *testing.T) {
 	// cache-survival mode (a removal's zeroed counts word sits unflushed in
 	// the cache until the wipe goes out with it, so eviction can expose it
 	// early). The other three entries must stay findable.
-	build := func() (*pmem.Device, *Table) {
-		dev, tab := newTable(t)
-		for i := byte(1); i <= 4; i++ {
-			res, err := tab.BeginTxn(fpWithPrefix(15, i), tDataStart+uint64(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab.CommitTxn(res.Idx)
-		}
-		return dev, tab
-	}
 	for _, victim := range []byte{1, 2, 4} {
-		dev0, tab0 := build()
-		start := dev0.PersistOps()
-		if !decRef(tab0, tDataStart+uint64(victim)) {
-			t.Fatal("setup: block not freed")
-		}
-		total := dev0.PersistOps() - start
-
-		for k := int64(1); k <= total; k++ {
-			for _, m := range []struct {
-				mode pmem.CrashMode
-				seed int64
-			}{{pmem.CrashDropDirty, 0}, {pmem.CrashKeepDirty, 0}, {pmem.CrashEvictRandom, 104729*k + 1}, {pmem.CrashEvictRandom, 104729*k + 2}} {
-				tag := fmt.Sprintf("victim=%d k=%d/%d mode=%d seed=%d", victim, k, total, m.mode, m.seed)
-				dev, tab := build()
-				dev.SetCrashAfter(k)
-				pmem.RunToCrash(func() { decRef(tab, tDataStart+uint64(victim)) })
-				img := dev.CrashImage(m.mode, m.seed)
-				rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
-				recoverAll(t, rt)
-				if err := rt.CheckInvariants(); err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				for i := byte(1); i <= 4; i++ {
-					if i == victim {
-						continue
+		t.Run(fmt.Sprint("victim ", victim), func(t *testing.T) {
+			sweepTable(t, func() (*pmem.Device, *Table, error) { return commitAll(15, 1, 2, 3, 4) },
+				func(tab *Table) error {
+					if !decRef(tab, tDataStart+uint64(victim)) {
+						return fmt.Errorf("setup: block not freed")
 					}
-					res, err := rt.BeginTxn(fpWithPrefix(15, i), tDataStart+40)
-					if err != nil || !res.Dup {
-						t.Fatalf("%s: entry %d lost (dup=%v err=%v)", tag, i, res.Dup, err)
+					return nil
+				}, func(rt *Table) error {
+					for i := byte(1); i <= 4; i++ {
+						if i == victim {
+							continue
+						}
+						res, err := rt.BeginTxn(fpWithPrefix(15, i), tDataStart+40)
+						if err != nil || !res.Dup {
+							return fmt.Errorf("entry %d lost (dup=%v err=%v)", i, res.Dup, err)
+						}
+						rt.AbortTxn(res.Idx)
 					}
-					rt.AbortTxn(res.Idx)
-				}
-				if err := rt.CheckInvariants(); err != nil {
-					t.Fatalf("%s after probes: %v", tag, err)
-				}
-			}
-		}
+					if err := rt.CheckInvariants(); err != nil {
+						return fmt.Errorf("after probes: %v", err)
+					}
+					return nil
+				}, allModes...)
+		})
 	}
 }
 

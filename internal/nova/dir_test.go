@@ -202,46 +202,24 @@ func TestOrphanSubtreeReclaimedOnRecovery(t *testing.T) {
 		fs.Mkdir("parent")
 		fs.Unmount()
 	}
-	probe := base.Clone()
-	fsP, _, err := Mount(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := probe.PersistOps()
-	if _, err := fsP.Mkdir("parent/child"); err != nil {
-		t.Fatal(err)
-	}
-	total := probe.PersistOps() - start
-
-	for k := int64(1); k <= total; k++ {
-		work := base.Clone()
-		fsW, _, err := Mount(work)
-		if err != nil {
-			t.Fatal(err)
-		}
-		work.SetCrashAfter(k)
-		pmem.RunToCrash(func() { fsW.Mkdir("parent/child") })
-		img := work.CrashImage(pmem.CrashDropDirty, k)
-		fsR, res, err := Mount(img)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if _, err := fsR.Lookup("parent/child"); err == nil {
+	sweepMount(t, base, func(fs *FS) error {
+		_, err := fs.Mkdir("parent/child")
+		return err
+	}, func(fs *FS, res *ScanResult) error {
+		if _, err := fs.Lookup("parent/child"); err == nil {
 			// Committed: must be a usable directory.
-			if _, err := fsR.Create("parent/child/ok"); err != nil {
-				t.Fatalf("k=%d: committed dir unusable: %v", k, err)
+			if _, err := fs.Create("parent/child/ok"); err != nil {
+				return fmt.Errorf("committed dir unusable: %v", err)
 			}
 		} else if len(res.Orphans) == 0 {
 			// Not visible: either nothing persisted, or the inode is an
 			// orphan that was reclaimed. Re-creating must work either way.
-			if _, err := fsR.Mkdir("parent/child"); err != nil {
-				t.Fatalf("k=%d: retry Mkdir failed: %v", k, err)
+			if _, err := fs.Mkdir("parent/child"); err != nil {
+				return fmt.Errorf("retry Mkdir failed: %v", err)
 			}
 		}
-		if err := fsR.Fsck(nil); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-	}
+		return fs.Fsck(nil)
+	})
 }
 
 func TestManyDirsManyFiles(t *testing.T) {

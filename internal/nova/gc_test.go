@@ -182,47 +182,24 @@ func TestThoroughGCCrashSweep(t *testing.T) {
 		return out
 	}()
 
-	base := build()
-	probe := base.Clone()
-	fsP, _, err := Mount(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inP, _ := fsP.Lookup("f")
-	start := probe.PersistOps()
-	if fsP.ForceThoroughGC(inP) == 0 {
-		t.Skip("compaction was a no-op at this shape")
-	}
-	total := probe.PersistOps() - start
-
-	for k := int64(1); k <= total; k++ {
-		work := base.Clone()
-		fsW, _, err := Mount(work)
-		if err != nil {
-			t.Fatal(err)
+	sweepMount(t, build(), func(fs *FS) error {
+		in, err := fs.Lookup("f")
+		if err == nil && fs.ForceThoroughGC(in) == 0 {
+			err = fmt.Errorf("compaction was a no-op at this shape")
 		}
-		inW, _ := fsW.Lookup("f")
-		work.SetCrashAfter(k)
-		pmem.RunToCrash(func() { fsW.ForceThoroughGC(inW) })
-		img := work.CrashImage(pmem.CrashDropDirty, k)
-		fsR, _, err := Mount(img)
+		return err
+	}, func(fs *FS, _ *ScanResult) error {
+		in, err := fs.Lookup("f")
 		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		inR, err := fsR.Lookup("f")
-		if err != nil {
-			t.Fatalf("k=%d: file lost", k)
+			return fmt.Errorf("file lost")
 		}
 		for pg, want := range expect {
-			got := readFileT(t, fsR, inR, uint64(pg)*PageSize, PageSize)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("k=%d: page %d corrupted", k, pg)
+			if got, err := readFile(fs, in, uint64(pg)*PageSize, PageSize); err != nil || !bytes.Equal(got, want) {
+				return fmt.Errorf("page %d corrupted (%v)", pg, err)
 			}
 		}
-		if err := fsR.Fsck(nil); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-	}
+		return fs.Fsck(nil)
+	})
 }
 
 func TestThoroughGCReenqueuesDedupeNeeded(t *testing.T) {

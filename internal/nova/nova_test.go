@@ -38,12 +38,53 @@ func writeFileT(t *testing.T, fs *FS, name string, data []byte) *Inode {
 
 func readFileT(t testing.TB, fs *FS, in *Inode, off uint64, n int) []byte {
 	t.Helper()
-	buf := make([]byte, n)
-	got, err := fs.Read(in, off, buf, obs.SpanContext{})
+	got, err := readFile(fs, in, off, n)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	return buf[:got]
+	return got
+}
+
+// readFile is readFileT for sweep checks, which run off the test goroutine.
+func readFile(fs *FS, in *Inode, off uint64, n int) ([]byte, error) {
+	buf := make([]byte, n)
+	got, err := fs.Read(in, off, buf, obs.SpanContext{})
+	return buf[:got], err
+}
+
+// sweepMount runs pmem.Sweep over op on a mount of a clone of base and
+// checks the mount of each crash image, failing the test at the lowest
+// failing point.
+func sweepMount(t *testing.T, base *pmem.Device, op func(fs *FS) error, check func(fs *FS, res *ScanResult) error) {
+	t.Helper()
+	res, err := pmem.Sweep(func() (*pmem.Device, func() error, error) {
+		work := base.Clone()
+		fs, _, err := Mount(work)
+		return work, func() error { return op(fs) }, err
+	}, func(img *pmem.Device, _ int64) error {
+		fs, scan, err := Mount(img)
+		if err != nil {
+			return err
+		}
+		return check(fs, scan)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d persist points, %d crashed, %d images checked", res.Total, res.Points, res.Images)
+}
+
+// checkContent fails unless the named file exists and its first len(want)
+// bytes are want.
+func checkContent(fs *FS, name string, want []byte) error {
+	in, err := fs.Lookup(name)
+	if err != nil {
+		return err
+	}
+	if got, err := readFile(fs, in, 0, len(want)); err != nil || !bytes.Equal(got, want) {
+		return fmt.Errorf("%s content corrupted (%v)", name, err)
+	}
+	return nil
 }
 
 func patternData(n int, seed byte) []byte {
@@ -758,72 +799,35 @@ func TestRecoverySweepCreate(t *testing.T) {
 		writeFileT(t, fs, "pre", patternData(PageSize, 9))
 		fs.Unmount()
 	}
-	// Count persist points of the operation.
-	probe := base.Clone()
-	fsP, _, err := Mount(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := probe.PersistOps()
-	writeFileT(t, fsP, "new", patternData(PageSize+10, 4))
-	total := probe.PersistOps() - start
-
-	for k := int64(1); k <= total; k++ {
-		work := base.Clone()
-		fsW, _, err := Mount(work)
-		if err != nil {
-			t.Fatalf("k=%d: mount: %v", k, err)
+	data := patternData(PageSize+10, 4)
+	sweepMount(t, base, func(fs *FS) error {
+		in, err := fs.Create("new")
+		if err == nil {
+			_, err = fs.Write(in, 0, data, FlagNone, obs.SpanContext{})
 		}
-		work.SetCrashAfter(work.PersistOps() - work.PersistOps() + preMountOps(work) + k)
-		crashed := pmem.RunToCrash(func() {
-			in, err := fsW.Create("new")
-			if err == nil {
-				fsW.Write(in, 0, patternData(PageSize+10, 4), FlagNone, obs.SpanContext{})
-			}
-		})
-		_ = crashed
-		img := work.CrashImage(pmem.CrashDropDirty, k)
-		fsR, res, err := Mount(img)
-		if err != nil {
-			t.Fatalf("k=%d: recovery failed: %v", k, err)
-		}
+		return err
+	}, func(fs *FS, _ *ScanResult) error {
 		// Invariant 1: pre-existing file intact.
-		pre, err := fsR.Lookup("pre")
-		if err != nil {
-			t.Fatalf("k=%d: pre-existing file lost", k)
-		}
-		if got := readFileT(t, fsR, pre, 0, PageSize); !bytes.Equal(got, patternData(PageSize, 9)) {
-			t.Fatalf("k=%d: pre-existing data corrupted", k)
+		if err := checkContent(fs, "pre", patternData(PageSize, 9)); err != nil {
+			return err
 		}
 		// Invariant 2: "new" is atomic per committed entry — if visible, its
 		// committed prefix must be readable and self-consistent.
-		if in, err := fsR.Lookup("new"); err == nil {
-			sz := in.Size()
-			got := readFileT(t, fsR, in, 0, int(sz))
-			if !bytes.Equal(got, patternData(PageSize+10, 4)[:sz]) {
-				t.Fatalf("k=%d: visible file has corrupt content", k)
-			}
+		if in, err := fs.Lookup("new"); err == nil {
+			return checkContent(fs, "new", data[:in.Size()])
 		}
-		_ = res
-	}
+		return nil
+	})
 }
-
-// preMountOps is a helper making the arming arithmetic in sweeps explicit:
-// SetCrashAfter counts from "now", so 0 extra ops have happened since mount.
-func preMountOps(*pmem.Device) int64 { return 0 }
 
 func TestOrphanInodeReclaimedOnRecovery(t *testing.T) {
 	t.Parallel()
-	dev, fs := mkfsT(t)
+	dev, _ := mkfsT(t)
 	// Simulate a crash between inode creation and dentry commit by building
 	// the state manually: create, then surgically remove the dentry's
 	// visibility by crafting a fresh image where only the inode persists.
 	// Easiest faithful approach: arm the crash to fire during Create's
 	// dentry append.
-	free0 := fs.FreeBlocks()
-	_ = free0
-	startOps := dev.PersistOps()
-	_ = startOps
 	// Create persists: log page init (1+ points), inode record, dentry
 	// entry, tail commit. Crash right after the inode record is persisted.
 	fired := false

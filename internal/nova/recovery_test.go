@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"denova/internal/obs"
@@ -74,45 +75,31 @@ func TestDanglingDentryRepairCrashSweep(t *testing.T) {
 	writeFileT(t, fs, "keeper", patternData(100, 2))
 	forgeDanglingDentry(t, base, fs, "victim")
 
-	probe := base.Clone()
-	start := probe.PersistOps()
-	if _, _, err := Mount(probe); err != nil {
-		t.Fatal(err)
-	}
-	total := probe.PersistOps() - start
-	if total == 0 {
-		t.Fatal("repairing mount performed no persists")
-	}
-
-	redone := false
-	for k := int64(1); k <= total; k++ {
+	var redone atomic.Bool
+	res, err := pmem.Sweep(func() (*pmem.Device, func() error, error) {
 		work := base.Clone()
-		work.SetCrashAfter(k)
-		crashed := pmem.RunToCrash(func() { Mount(work) })
-		if !crashed {
-			break
-		}
-		img := work.CrashImage(pmem.CrashDropDirty, k)
-		fsR, res, err := Mount(img)
+		return work, func() error { _, _, err := Mount(work); return err }, nil
+	}, func(img *pmem.Device, _ int64) error {
+		fs, res, err := Mount(img)
 		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
+			return err
 		}
-		if _, err := fsR.Lookup("victim"); err == nil {
-			t.Fatalf("k=%d: dangling name resurrected", k)
+		if _, err := fs.Lookup("victim"); err == nil {
+			return fmt.Errorf("dangling name resurrected")
 		}
 		if res.RepairsPersisted > 0 {
-			redone = true
+			redone.Store(true)
 		}
-		if in, err := fsR.Lookup("keeper"); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		} else if got := readFileT(t, fsR, in, 0, 100); !bytes.Equal(got, patternData(100, 2)) {
-			t.Fatalf("k=%d: keeper content corrupted", k)
+		if err := checkContent(fs, "keeper", patternData(100, 2)); err != nil {
+			return err
 		}
-		if err := fsR.Fsck(nil); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
+		return fs.Fsck(nil)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !redone {
+	t.Logf("%d persist points, %d crashed, %d images checked", res.Total, res.Points, res.Images)
+	if !redone.Load() {
 		t.Error("no crash point left the repair uncommitted; sweep never exercised the redo path")
 	}
 }
@@ -144,70 +131,42 @@ func TestMountGCReclaimsDeadLogPages(t *testing.T) {
 		}
 	}
 
-	probe := base.Clone()
-	fsP, _, err := Mount(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inP, err := fsP.Lookup("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := probe.PersistOps()
-	if _, err := fsP.Write(inP, 0, []byte{0xAB}, FlagNone, obs.SpanContext{}); err != nil {
-		t.Fatal(err)
-	}
-	total := probe.PersistOps() - start
-	if fsP.Stats().GCLogPages == 0 {
-		t.Fatal("triggering write did not fast-GC a page; test setup is stale")
-	}
-
-	sweptAny := false
-	for k := int64(1); k <= total; k++ {
-		work := base.Clone()
-		fsW, _, err := Mount(work)
+	var sweptAny atomic.Bool
+	sweepMount(t, base, func(fs *FS) error {
+		in, err := fs.Lookup("f")
+		if err == nil {
+			_, err = fs.Write(in, 0, []byte{0xAB}, FlagNone, obs.SpanContext{})
+		}
+		if err == nil && fs.Stats().GCLogPages == 0 {
+			err = fmt.Errorf("triggering write did not fast-GC a page; test setup is stale")
+		}
+		return err
+	}, func(fs *FS, res *ScanResult) error {
+		in, err := fs.Lookup("f")
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		inW, err := fsW.Lookup("f")
-		if err != nil {
-			t.Fatal(err)
+		got, err := readFile(fs, in, 0, 1)
+		if err != nil || (got[0] != 0xAB && got[0] != byte(EntriesPerLogPage-1)) {
+			return fmt.Errorf("content = %#x, want old or new value (%v)", got, err)
 		}
-		work.SetCrashAfter(k)
-		crashed := pmem.RunToCrash(func() { fsW.Write(inW, 0, []byte{0xAB}, FlagNone, obs.SpanContext{}) })
-		if !crashed {
-			break
-		}
-		img := work.CrashImage(pmem.CrashDropDirty, k)
-		fsR, res, err := Mount(img)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		inR, err := fsR.Lookup("f")
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		got := readFileT(t, fsR, inR, 0, 1)
-		if got[0] != 0xAB && got[0] != byte(EntriesPerLogPage-1) {
-			t.Fatalf("k=%d: content = %#x, want old or new value", k, got[0])
-		}
-		if err := fsR.Fsck(nil); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
+		if err := fs.Fsck(nil); err != nil {
+			return err
 		}
 		if res.GCPages > 0 {
-			sweptAny = true
+			sweptAny.Store(true)
 			// The sweep's unlink is persistent: a remount has nothing left.
-			img2 := img.Clone()
-			_, res2, err := Mount(img2)
+			_, res2, err := Mount(fs.Dev.Clone())
 			if err != nil {
-				t.Fatalf("k=%d remount: %v", k, err)
+				return fmt.Errorf("remount: %v", err)
 			}
 			if res2.GCPages != 0 {
-				t.Fatalf("k=%d: mount GC not durable, remount swept %d pages", k, res2.GCPages)
+				return fmt.Errorf("mount GC not durable, remount swept %d pages", res2.GCPages)
 			}
 		}
-	}
-	if !sweptAny {
+		return nil
+	})
+	if !sweptAny.Load() {
 		t.Error("no crash point left a dead page for the mount sweep; the interrupted-GC window was never hit")
 	}
 }

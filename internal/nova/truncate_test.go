@@ -155,50 +155,27 @@ func TestTruncateCrashSweep(t *testing.T) {
 		writeFileT(t, fs, "f", patternData(4*PageSize, 9))
 		fs.Unmount()
 	}
-	probe := base.Clone()
-	fsP, _, err := Mount(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inP, _ := fsP.Lookup("f")
-	start := probe.PersistOps()
-	fsP.Truncate(inP, PageSize, FlagNone, obs.SpanContext{})
-	total := probe.PersistOps() - start
-	if total == 0 {
-		t.Fatal("truncate persisted nothing")
-	}
-
 	data := patternData(4*PageSize, 9)
-	for k := int64(1); k <= total; k++ {
-		work := base.Clone()
-		fsW, _, err := Mount(work)
+	sweepMount(t, base, func(fs *FS) error {
+		in, err := fs.Lookup("f")
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		inW, _ := fsW.Lookup("f")
-		work.SetCrashAfter(k)
-		pmem.RunToCrash(func() { fsW.Truncate(inW, PageSize, FlagNone, obs.SpanContext{}) })
-		img := work.CrashImage(pmem.CrashDropDirty, k)
-		fsR, _, err := Mount(img)
+		return fs.Truncate(in, PageSize, FlagNone, obs.SpanContext{})
+	}, func(fs *FS, _ *ScanResult) error {
+		in, err := fs.Lookup("f")
 		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
+			return fmt.Errorf("file lost")
 		}
-		inR, err := fsR.Lookup("f")
-		if err != nil {
-			t.Fatalf("k=%d: file lost", k)
-		}
-		sz := inR.Size()
+		sz := in.Size()
 		if sz != PageSize && sz != 4*PageSize {
-			t.Fatalf("k=%d: size %d is neither old nor new", k, sz)
+			return fmt.Errorf("size %d is neither old nor new", sz)
 		}
-		got := readFileT(t, fsR, inR, 0, int(sz))
-		if !bytes.Equal(got, data[:sz]) {
-			t.Fatalf("k=%d: content wrong at size %d", k, sz)
+		if err := checkContent(fs, "f", data[:sz]); err != nil {
+			return err
 		}
-		if err := fsR.Fsck(nil); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-	}
+		return fs.Fsck(nil)
+	})
 }
 
 func TestFsckCleanOnHealthyFS(t *testing.T) {

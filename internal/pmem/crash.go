@@ -1,9 +1,14 @@
 package pmem
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync/atomic"
+
+	"denova/internal/par"
 )
 
 // Crash injection.
@@ -167,4 +172,134 @@ func (d *Device) Clone() *Device {
 		sh.mu.Unlock()
 	}
 	return img
+}
+
+// SweepMode names the crash images Sweep takes at a persist point.
+type SweepMode struct {
+	Mode CrashMode
+	// Seeds is the number of CrashEvictRandom images per point (at least
+	// one); the s-th image of point k uses seed k*7919+s. The other modes
+	// take one image.
+	Seeds int
+	// Stride > 1 visits only points 1, 1+Stride, 1+2·Stride, … and the
+	// last Tail points, for ops whose points are mostly alike (page stores).
+	Stride, Tail int64
+}
+
+// visits reports whether the mode takes images at point k of total.
+func (m SweepMode) visits(k, total int64) bool {
+	return m.Stride <= 1 || (k-1)%m.Stride == 0 || total-k < m.Tail
+}
+
+// images returns the number of images the mode takes at a visited point.
+func (m SweepMode) images() int {
+	if m.Mode == CrashEvictRandom {
+		return max(m.Seeds, 1)
+	}
+	return 1
+}
+
+func (m SweepMode) String() string {
+	switch m.Mode {
+	case CrashDropDirty:
+		return "drop-dirty"
+	case CrashKeepDirty:
+		return "keep-dirty"
+	}
+	return "evict-random"
+}
+
+// SweepResult counts what a Sweep did: the op's persist points, the points
+// it crashed at, and the images it checked.
+type SweepResult struct {
+	Total, Points, Images int64
+}
+
+// Sweep mechanizes the §V-C failure analysis for one operation. setup
+// builds a fresh device and returns it with the op to crash; every call
+// must build the same state, so the op's persist points line up. Sweep runs
+// setup and the op once unarmed to count those points (0 is an error),
+// then, for each point k the modes visit (every one by default), calls
+// setup again, arms SetCrashAfter(k), requires that the crash fired, takes
+// every image the modes ask for from that one crashed device and calls
+// check on each. With no modes it takes one CrashDropDirty image.
+//
+// Points run on GOMAXPROCS goroutines, one ascending range of k each
+// (par.Ranges), so setup, op and check must not share mutable state and
+// must not call testing.T's Fatal methods. A panic in any of them is a
+// failure at its point. The error returned is the one at the lowest failing
+// k, naming k, the mode and the seed, so it replays exactly.
+func Sweep(setup func() (*Device, func() error, error), check func(img *Device, k int64) error, modes ...SweepMode) (SweepResult, error) {
+	if len(modes) == 0 {
+		modes = []SweepMode{{Mode: CrashDropDirty}}
+	}
+	var res SweepResult
+	dev, op, err := setup()
+	if err != nil {
+		return res, fmt.Errorf("sweep setup: %w", err)
+	}
+	start := dev.PersistOps()
+	if err := op(); err != nil {
+		return res, fmt.Errorf("sweep probe: %w", err)
+	}
+	if res.Total = dev.PersistOps() - start; res.Total == 0 {
+		return res, fmt.Errorf("sweep: the op performed no persists")
+	}
+	var points, images atomic.Int64
+	errs := make([]error, runtime.GOMAXPROCS(0))
+	par.Ranges(1, res.Total+1, len(errs), func(i int, lo, hi int64) {
+		for k := lo; k < hi; k++ {
+			n, err := sweepPoint(setup, check, modes, k, res.Total)
+			if err != nil { // a range stops at its lowest failing k
+				errs[i] = fmt.Errorf("k=%d/%d: %w", k, res.Total, err)
+				return
+			}
+			if n > 0 {
+				points.Add(1)
+				images.Add(n)
+			}
+		}
+	})
+	res.Points, res.Images = points.Load(), images.Load()
+	for _, err := range errs { // ranges ascend, so the first is the lowest k
+		if err != nil {
+			return res, err
+		}
+	}
+	return res, nil
+}
+
+// sweepPoint crashes the op at point k and checks the modes' images. It
+// returns how many it checked (0: no mode visits k).
+func sweepPoint(setup func() (*Device, func() error, error), check func(*Device, int64) error, modes []SweepMode, k, total int64) (n int64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	if !slices.ContainsFunc(modes, func(m SweepMode) bool { return m.visits(k, total) }) {
+		return 0, nil
+	}
+	dev, op, err := setup()
+	if err != nil {
+		return 0, fmt.Errorf("setup: %w", err)
+	}
+	dev.SetCrashAfter(k)
+	var opErr error
+	if !RunToCrash(func() { opErr = op() }) {
+		return 0, fmt.Errorf("crash did not fire (op returned %v)", opErr)
+	}
+	for _, m := range modes {
+		if !m.visits(k, total) {
+			continue
+		}
+		for s := 0; s < m.images(); s++ {
+			seed := k*7919 + int64(s)
+			if err := check(dev.CrashImage(m.Mode, seed), k); err != nil {
+				return n, fmt.Errorf("%v seed=%d: %w", m, seed, err)
+			}
+			n++
+		}
+	}
+	return n, nil
 }

@@ -3,7 +3,10 @@ package pmem
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -274,6 +277,65 @@ func TestCrashInjectionAtEveryPersistPoint(t *testing.T) {
 		if persisted != k*CacheLineSize {
 			t.Fatalf("k=%d: persisted %d bytes, want %d", k, persisted, k*CacheLineSize)
 		}
+	}
+}
+
+// TestSweep drives Sweep over a 10-line non-temporal store (10 persist
+// points): every visited point k must yield a k-line persisted prefix, the
+// modes' strides and seeds must give the stated counts, and a failing check
+// must come back as the lowest failing point whichever range found it.
+func TestSweep(t *testing.T) {
+	t.Parallel()
+	const lines = 10
+	payload := bytes.Repeat([]byte{0xEE}, lines*CacheLineSize)
+	setup := func() (*Device, func() error, error) {
+		d := New(16*CacheLineSize, ProfileZero)
+		return d, func() error { d.WriteNT(0, payload); return nil }, nil
+	}
+	prefix := func(img *Device, k int64) error {
+		got := make([]byte, len(payload))
+		img.Read(0, got)
+		if n := int64(bytes.IndexByte(append(got, 0), 0)); n != k*CacheLineSize {
+			return fmt.Errorf("persisted %d bytes, want %d", n, k*CacheLineSize)
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		modes          []SweepMode
+		points, images int64
+	}{
+		{nil, 10, 10},
+		{[]SweepMode{{Mode: CrashDropDirty}, {Mode: CrashKeepDirty}}, 10, 20},
+		{[]SweepMode{{Mode: CrashEvictRandom, Seeds: 3, Stride: 4, Tail: 2}}, 4, 12},                // 1, 5, 9, 10
+		{[]SweepMode{{Mode: CrashDropDirty, Stride: 4}, {Mode: CrashEvictRandom, Stride: 3}}, 6, 7}, // 1, 4, 5, 7, 9, 10
+	} {
+		res, err := Sweep(setup, prefix, tc.modes...)
+		if err != nil || res != (SweepResult{Total: lines, Points: tc.points, Images: tc.images}) {
+			t.Fatalf("modes %+v: %+v, %v; want %d points, %d images", tc.modes, res, err, tc.points, tc.images)
+		}
+	}
+	// Every point from bad on fails, so with two or more ranges a later
+	// range fails too; the error must still name bad. A panicking check is
+	// a failure like an error.
+	for bad, want := range map[int64]string{3: "k=3/10: drop-dirty seed=23757: bad", 8: "k=8/10: panic: bad"} {
+		_, err := Sweep(setup, func(img *Device, k int64) error {
+			switch {
+			case k < bad:
+				return nil
+			case bad == 8:
+				panic("bad")
+			}
+			return errors.New("bad")
+		})
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("failing from k=%d: error %v, want %q", bad, err, want)
+		}
+	}
+	if _, err := Sweep(func() (*Device, func() error, error) {
+		d := New(16*CacheLineSize, ProfileZero)
+		return d, func() error { return nil }, nil
+	}, prefix); err == nil {
+		t.Fatal("a sweep over an op with no persist point passed")
 	}
 }
 

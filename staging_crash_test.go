@@ -3,7 +3,9 @@ package denova
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,37 +29,34 @@ func stagingCfg() Config {
 	}
 }
 
-// stagingCrashRun builds the deterministic workload on a fresh device:
-// a synced base, then staged appends, then the Sync under test. Returns
-// after Sync (or after a crash interrupts it).
-func stagingCrashRun(t *testing.T, dev *Device, base, staged []byte) {
-	t.Helper()
+// stagingCrashSetup builds the deterministic workload on a fresh device —
+// a synced base, then staged appends — and returns the device with the
+// Sync under test.
+func stagingCrashSetup(base, staged []byte) (*Device, func() error, error) {
+	dev := NewDevice(testDevSize, ProfileZero)
 	fs, err := Mkfs(dev, stagingCfg())
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	f, err := fs.Create("f")
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	if _, err := f.WriteAt(base, 0); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	if err := f.Sync(); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	// Three staged appends, fewer than MaxPages total so no auto-flush:
 	// they stay in DRAM until the final Sync relinks them as one batch.
 	third := len(staged) / 3
 	for i, chunk := range [][]byte{staged[:third], staged[third : 2*third], staged[2*third:]} {
-		off := int64(len(base) + i*third)
-		if _, err := f.WriteAt(chunk, off); err != nil {
-			t.Fatal(err)
+		if _, err := f.WriteAt(chunk, int64(len(base)+i*third)); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	return dev, f.Sync, nil
 }
 
 // TestStagingCrashSweep crashes at every persist point of the relink
@@ -67,80 +66,54 @@ func TestStagingCrashSweep(t *testing.T) {
 	staged := npages(3, 4, 5)
 	full := append(append([]byte(nil), base...), staged...)
 
-	// Probe run: learn where the final Sync's persist points lie.
-	probe := NewDevice(testDevSize, ProfileZero)
-	fs, err := Mkfs(probe, stagingCfg())
+	var sawBase, sawFull atomic.Bool
+	res, err := pmem.Sweep(func() (*Device, func() error, error) { return stagingCrashSetup(base, staged) },
+		func(img *Device, _ int64) error {
+			fs2, info, err := Mount(img, stagingCfg())
+			if err != nil {
+				return fmt.Errorf("recovery mount: %v", err)
+			}
+			if info.Clean {
+				return fmt.Errorf("crash not detected")
+			}
+			g, err := fs2.Open("f")
+			if err != nil {
+				return fmt.Errorf("open: %v", err)
+			}
+			got := make([]byte, g.Size())
+			n, err := g.ReadAt(got, 0)
+			switch got = got[:n]; {
+			case err != nil:
+				return err
+			case bytes.Equal(got, base):
+				sawBase.Store(true)
+			case bytes.Equal(got, full):
+				sawFull.Store(true)
+			default:
+				return fmt.Errorf("recovered %d bytes — neither base (%d) nor base+staged (%d): partial relink visible",
+					len(got), len(base), len(full))
+			}
+			if err := fs2.Fsck(); err != nil {
+				return fmt.Errorf("fsck: %v", err)
+			}
+			// The recovered FS must keep working on the same file.
+			if _, err := g.WriteAt(npages(9), 0); err != nil {
+				return fmt.Errorf("post-recovery write: %v", err)
+			}
+			if err := g.Sync(); err != nil {
+				return fmt.Errorf("post-recovery sync: %v", err)
+			}
+			fs2.Unmount()
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := fs.Create("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(base, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	third := len(staged) / 3
-	for i, chunk := range [][]byte{staged[:third], staged[third : 2*third], staged[2*third:]} {
-		if _, err := f.WriteAt(chunk, int64(len(base)+i*third)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	preSync := probe.PersistOps()
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	total := probe.PersistOps()
-	if total <= preSync {
-		t.Fatalf("sync produced no persist points (%d -> %d): staging not exercised", preSync, total)
-	}
-
-	sawBase, sawFull := false, false
-	for k := preSync + 1; k <= total; k++ {
-		dev := NewDevice(testDevSize, ProfileZero)
-		dev.SetCrashAfter(k)
-		crashed := pmem.RunToCrash(func() { stagingCrashRun(t, dev, base, staged) })
-		img := dev.CrashImage(pmem.CrashDropDirty, k)
-		fs2, info, err := Mount(img, stagingCfg())
-		if err != nil {
-			t.Fatalf("k=%d: recovery mount: %v", k, err)
-		}
-		if crashed && info.Clean {
-			t.Fatalf("k=%d: crash not detected", k)
-		}
-		g, err := fs2.Open("f")
-		if err != nil {
-			t.Fatalf("k=%d: open: %v", k, err)
-		}
-		got := readAll(t, g)
-		switch {
-		case bytes.Equal(got, base):
-			sawBase = true
-		case bytes.Equal(got, full):
-			sawFull = true
-		default:
-			t.Fatalf("k=%d: recovered %d bytes — neither base (%d) nor base+staged (%d): partial relink visible",
-				k, len(got), len(base), len(full))
-		}
-		if err := fs2.Fsck(); err != nil {
-			t.Fatalf("k=%d: fsck: %v", k, err)
-		}
-		// The recovered FS must keep working on the same file.
-		if _, err := g.WriteAt(npages(9), 0); err != nil {
-			t.Fatalf("k=%d: post-recovery write: %v", k, err)
-		}
-		if err := g.Sync(); err != nil {
-			t.Fatalf("k=%d: post-recovery sync: %v", k, err)
-		}
-		fs2.Unmount()
-	}
+	t.Logf("%d persist points, %d crashed, %d images checked", res.Total, res.Points, res.Images)
 	// The sweep must witness both sides of the commit point; otherwise the
 	// oracle tested nothing.
-	if !sawBase || !sawFull {
-		t.Fatalf("sweep never saw both states (base=%v full=%v): commit point not crossed", sawBase, sawFull)
+	if !sawBase.Load() || !sawFull.Load() {
+		t.Fatalf("sweep never saw both states (base=%v full=%v): commit point not crossed", sawBase.Load(), sawFull.Load())
 	}
 }
 
