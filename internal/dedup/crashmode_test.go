@@ -30,6 +30,38 @@ func fsckAfterRecovery(r *rig) error {
 	return nil
 }
 
+// TestCrashSweepModesFsckAfterDedup extends the §V-C dedup sweep to the
+// other two points of the cache-survival lattice: CrashKeepDirty (every
+// unflushed store survives) and CrashEvictRandom (each line survives with
+// p=1/2). After recovery the whole device must pass nova.Fsck with the
+// FACT-aware block-ownership callback; the keep-dirty images also get the
+// §V-C checks, which TestCrashSweepDuringDedupWithEviction runs on the
+// evict-random ones.
+func TestCrashSweepModesFsckAfterDedup(t *testing.T) {
+	t.Parallel()
+	t.Run("KeepDirty", func(t *testing.T) {
+		t.Parallel()
+		sweepDedupTxn(t, func(r *rig, k int64) error {
+			if err := dedupTxnChecks(r, k); err != nil {
+				return err
+			}
+			return fsckAfterRecovery(r)
+		}, pmem.SweepMode{Mode: pmem.CrashKeepDirty})
+	})
+	t.Run("EvictRandom", func(t *testing.T) {
+		t.Parallel()
+		sweepDedupTxn(t, func(r *rig, _ int64) error { return fsckAfterRecovery(r) }, evictSampled)
+	})
+}
+
+// TestCrashSweepReclaimKeepDirty replays the page-reclamation crash sweep
+// (overwrite of a shared deduplicated block) under CrashKeepDirty, with the
+// same checks as TestCrashSweepDuringReclaim.
+func TestCrashSweepReclaimKeepDirty(t *testing.T) {
+	t.Parallel()
+	sweepReclaim(t, pmem.SweepMode{Mode: pmem.CrashKeepDirty})
+}
+
 // buildParallelCrashBase writes a batch of heavily duplicated files across
 // several inodes without draining the queue, so a recovered rig re-finds a
 // substantial dedup backlog (via the flag scan) for a worker pool to chew

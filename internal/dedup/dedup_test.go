@@ -922,42 +922,70 @@ func postRecovery(r *rig) error {
 	return nil
 }
 
-// TestCrashSweepDuringDedup is the centerpiece §V-C experiment: crash at
-// EVERY persist point inside the deduplication transaction, recover, and
-// verify consistency. Each point is checked on the three points of the
-// cache-survival lattice: CrashDropDirty keeps only what was explicitly
-// flushed, CrashKeepDirty keeps every unflushed store, and CrashEvictRandom
-// keeps each line with p=1/2 (sampled: every other point, three seeds).
-// After the §V-C checks the whole device must pass nova.Fsck with the
-// FACT-aware block-ownership callback.
-func TestCrashSweepDuringDedup(t *testing.T) {
-	t.Parallel()
-	res := sweep(t, buildCrashBase(t), func(r *rig) error { r.engine.Drain(); return nil },
-		func(r *rig, _ int64) error {
-			if err := postRecovery(r); err != nil {
-				return err
-			}
-			if err := rfcCoversRefs(r); err != nil {
-				return err
-			}
-			return fsckAfterRecovery(r)
-		},
-		pmem.SweepMode{Mode: pmem.CrashDropDirty},
-		pmem.SweepMode{Mode: pmem.CrashKeepDirty},
-		pmem.SweepMode{Mode: pmem.CrashEvictRandom, Seeds: 3, Stride: 2})
+// The dedup-transaction sweeps crash the drain of buildCrashBase at its
+// persist points. Their images and checks split one grid with no cell twice:
+// the drop-dirty and keep-dirty images get the §V-C checks and the FACT-aware
+// fsck, the evict-random images (every other point, three seeds) get the
+// §V-C checks in one test and the fsck in another.
+var evictSampled = pmem.SweepMode{Mode: pmem.CrashEvictRandom, Seeds: 3, Stride: 2}
+
+// sweepDedupTxn sweeps the drain of buildCrashBase under modes.
+func sweepDedupTxn(t *testing.T, check func(r *rig, k int64) error, modes ...pmem.SweepMode) pmem.SweepResult {
+	t.Helper()
+	res := sweep(t, buildCrashBase(t), func(r *rig) error { r.engine.Drain(); return nil }, check, modes...)
 	if res.Total < 10 {
 		t.Fatalf("suspiciously few persist points: %d", res.Total)
 	}
+	return res
+}
+
+// dedupTxnChecks are the §V-C checks: the files and sharing survive, and
+// every reference count covers the file mappings that name its block.
+func dedupTxnChecks(r *rig, _ int64) error {
+	if err := postRecovery(r); err != nil {
+		return err
+	}
+	return rfcCoversRefs(r)
+}
+
+// TestCrashSweepDuringDedup is the centerpiece §V-C experiment: crash at
+// EVERY persist point inside the deduplication transaction, recover, and
+// verify consistency on the CrashDropDirty image, which keeps only what was
+// explicitly flushed. After the §V-C checks the whole device must pass
+// nova.Fsck with the FACT-aware block-ownership callback.
+func TestCrashSweepDuringDedup(t *testing.T) {
+	t.Parallel()
+	sweepDedupTxn(t, func(r *rig, k int64) error {
+		if err := dedupTxnChecks(r, k); err != nil {
+			return err
+		}
+		return fsckAfterRecovery(r)
+	}, pmem.SweepMode{Mode: pmem.CrashDropDirty})
+}
+
+// TestCrashSweepDuringDedupWithEviction is the same sweep with random
+// cache-line eviction at the crash: stores that were never flushed may still
+// persist. The §V-C checks must hold.
+func TestCrashSweepDuringDedupWithEviction(t *testing.T) {
+	t.Parallel()
+	sweepDedupTxn(t, dedupTxnChecks, evictSampled)
 }
 
 // TestCrashSweepDuringReclaim is §V-C "Failures during Page Reclamation":
 // crash at every persist point of an overwrite that reclaims a shared
-// deduplicated block, under CrashDropDirty and CrashKeepDirty. File b must
-// NEVER lose its data, whatever happened to a's overwrite — this is exactly
-// the dangling-pointer hazard the count-based scheme prevents — a reads as
-// old or new per page, and the device passes fsck.
+// deduplicated block, on the CrashDropDirty image (its CrashKeepDirty twin
+// is TestCrashSweepReclaimKeepDirty). File b must NEVER lose its data,
+// whatever happened to a's overwrite — this is exactly the dangling-pointer
+// hazard the count-based scheme prevents — a reads as old or new per page,
+// and the device passes fsck.
 func TestCrashSweepDuringReclaim(t *testing.T) {
 	t.Parallel()
+	sweepReclaim(t, pmem.SweepMode{Mode: pmem.CrashDropDirty})
+}
+
+// sweepReclaim sweeps the overwrite of a shared block under modes.
+func sweepReclaim(t *testing.T, modes ...pmem.SweepMode) {
+	t.Helper()
 	r := newRig(t)
 	r.write(t, "a", pages(1, 2))
 	r.write(t, "b", pages(1, 2))
@@ -990,7 +1018,7 @@ func TestCrashSweepDuringReclaim(t *testing.T) {
 			}
 		}
 		return fsckAfterRecovery(rec)
-	}, pmem.SweepMode{Mode: pmem.CrashDropDirty}, pmem.SweepMode{Mode: pmem.CrashKeepDirty})
+	}, modes...)
 }
 
 func TestRecoveryRebuildsDWQFromFlags(t *testing.T) {

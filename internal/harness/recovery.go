@@ -98,19 +98,29 @@ func MeasureRecovery(workerCounts []int, spec RecoverySpec) ([]RecoveryResult, e
 	}
 	results := make([]RecoveryResult, 0, len(workerCounts))
 	for _, workers := range workerCounts {
-		dev := img.Clone()
-		start := time.Now()
-		fs, info, err := denova.Mount(dev, denova.Config{
-			Mode:     denova.ModeImmediate,
-			NoDaemon: true,
-			Workers:  workers,
-		})
-		elapsed := time.Since(start)
+		res, err := MountRecovery(img, workers)
 		if err != nil {
-			return nil, fmt.Errorf("harness: mount with %d workers: %w", workers, err)
+			return nil, err
 		}
-		fs.UnmountDirty()
-		results = append(results, RecoveryResult{Workers: workers, Elapsed: elapsed, Info: info, Dev: dev})
+		results = append(results, res)
 	}
 	return results, nil
+}
+
+// MountRecovery mounts an independent clone of img with the given worker
+// count, timing the denova.Mount call.
+func MountRecovery(img *pmem.Device, workers int) (RecoveryResult, error) {
+	dev := img.Clone()
+	start := time.Now()
+	fs, info, err := denova.Mount(dev, denova.Config{
+		Mode:     denova.ModeImmediate,
+		NoDaemon: true,
+		Workers:  workers,
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		return RecoveryResult{}, fmt.Errorf("harness: mount with %d workers: %w", workers, err)
+	}
+	fs.UnmountDirty()
+	return RecoveryResult{Workers: workers, Elapsed: elapsed, Info: info, Dev: dev}, nil
 }
