@@ -128,15 +128,6 @@ func TestTortureParallelDedup(t *testing.T) {
 	wg.Wait()
 	atomic.StoreInt32(&gcStop, 1)
 	gcWg.Wait()
-	// A daemon the scheduler starved may reach every racing relink only
-	// after a later write or GC pass dropped its hint, or find its queue
-	// over hintCap so the relink enqueued none. So drain, then stage one
-	// more extent with nothing racing it: the hint path must run at least
-	// once.
-	d.DrainSync()
-	if _, err := r.fs.StageWrite(inodes[0], 0, pages(1, 2), nova.FlagNeeded, obs.SpanContext{}); err != nil {
-		t.Fatalf("final stage: %v", err)
-	}
 	if err := r.fs.RelinkAll(); err != nil && !errors.Is(err, nova.ErrNoSpace) {
 		t.Fatalf("relink: %v", err)
 	}

@@ -98,29 +98,19 @@ func MeasureRecovery(workerCounts []int, spec RecoverySpec) ([]RecoveryResult, e
 	}
 	results := make([]RecoveryResult, 0, len(workerCounts))
 	for _, workers := range workerCounts {
-		res, err := MountRecovery(img, workers)
+		dev := img.Clone()
+		start := time.Now()
+		fs, info, err := denova.Mount(dev, denova.Config{
+			Mode:     denova.ModeImmediate,
+			NoDaemon: true,
+			Workers:  workers,
+		})
+		elapsed := time.Since(start)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: mount with %d workers: %w", workers, err)
 		}
-		results = append(results, res)
+		fs.UnmountDirty()
+		results = append(results, RecoveryResult{Workers: workers, Elapsed: elapsed, Info: info, Dev: dev})
 	}
 	return results, nil
-}
-
-// MountRecovery mounts an independent clone of img with the given worker
-// count, timing the denova.Mount call.
-func MountRecovery(img *pmem.Device, workers int) (RecoveryResult, error) {
-	dev := img.Clone()
-	start := time.Now()
-	fs, info, err := denova.Mount(dev, denova.Config{
-		Mode:     denova.ModeImmediate,
-		NoDaemon: true,
-		Workers:  workers,
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		return RecoveryResult{}, fmt.Errorf("harness: mount with %d workers: %w", workers, err)
-	}
-	fs.UnmountDirty()
-	return RecoveryResult{Workers: workers, Elapsed: elapsed, Info: info, Dev: dev}, nil
 }

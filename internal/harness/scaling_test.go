@@ -11,33 +11,10 @@ import (
 // from device-bandwidth saturation; see pmem.ProfileOptaneInterleaved.
 var profileOptaneInterleaved = pmem.ProfileOptaneInterleaved
 
-// scalingRounds is how many runs of each configuration a wall-clock
-// scaling gate takes. The best run counts: a parallel `go test ./...` shares
-// the CPUs and only ever slows a run down, so the best is the estimate of a
-// configuration's own speed that a busy box cannot spoil. On a 2-CPU host
-// beside another package's tests, the 4-vs-1 worker ratio of single runs
-// fell below the gate in about one pair in five; over 15 rounds the best
-// runs did in about one window in 300.
-const scalingRounds = 15
-
-// interleave returns a, b, b, a, a, b, … — rounds runs of each, in pairs
-// whose order alternates, so drift during the test favours neither.
-func interleave(a, b, rounds int) []int {
-	out := make([]int, 0, 2*rounds)
-	for i := 0; i < rounds; i++ {
-		if i%2 == 0 {
-			out = append(out, a, b)
-		} else {
-			out = append(out, b, a)
-		}
-	}
-	return out
-}
-
 // TestWorkerScalingSmoke is the CI gate on the parallel dedup pipeline:
 // a 4-worker pool must never drain slower than 90% of a single worker
 // (no-regression), and on hosts with at least 4 CPUs it must show real
-// scaling. Throughputs are the best of scalingRounds interleaved runs.
+// scaling. Throughputs are medians of three runs.
 func TestWorkerScalingSmoke(t *testing.T) {
 	if raceEnabled {
 		t.Skip("scaling bench is timing-sensitive; skipped under -race")
@@ -52,18 +29,18 @@ func TestWorkerScalingSmoke(t *testing.T) {
 		Seed:         7,
 		Profile:      profileOptaneInterleaved,
 	}
-	best := map[int]float64{}
-	counts := interleave(1, 4, scalingRounds)
-	for i := 0; i < len(counts); i += 2 {
-		res, err := MeasureWorkerScaling(counts[i:i+2], spec)
+	const runs = 3
+	tput := map[int][]float64{}
+	for i := 0; i < runs; i++ {
+		res, err := MeasureWorkerScaling([]int{1, 4}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range res {
-			best[r.Workers] = max(best[r.Workers], r.NodesPerSec)
+			tput[r.Workers] = append(tput[r.Workers], r.NodesPerSec)
 		}
 	}
-	t1, t4 := best[1], best[4]
+	t1, t4 := median(tput[1]), median(tput[4])
 	speedup := t4 / t1
 	t.Logf("dedup drain throughput: 1 worker %.0f nodes/s, 4 workers %.0f nodes/s (%.2fx, GOMAXPROCS=%d)",
 		t1, t4, speedup, runtime.GOMAXPROCS(0))
@@ -74,4 +51,19 @@ func TestWorkerScalingSmoke(t *testing.T) {
 		t.Errorf("expected >=2x drain throughput with 4 workers on a %d-CPU host, got %.2fx",
 			runtime.GOMAXPROCS(0), speedup)
 	}
+}
+
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	for i := range s {
+		for j := i + 1; j < len(s); j++ {
+			if s[j] < s[i] {
+				s[i], s[j] = s[j], s[i]
+			}
+		}
+	}
+	return s[len(s)/2]
 }
