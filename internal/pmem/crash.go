@@ -224,32 +224,28 @@ type SweepResult struct {
 // every image the modes ask for from that one crashed device and calls
 // check on each. With no modes it takes one CrashDropDirty image.
 //
-// Points run on GOMAXPROCS goroutines, one ascending range of k each
-// (par.Ranges), so setup, op and check must not share mutable state and
+// Points run on up to cap(sweepSlots) goroutines, one ascending range of k
+// each (par.Ranges), so setup, op and check must not share mutable state and
 // must not call testing.T's Fatal methods. A panic in any of them is a
 // failure at its point. The error returned is the one at the lowest failing
 // k, naming k, the mode and the seed, so it replays exactly.
-func Sweep(setup func() (*Device, func() error, error), check func(img *Device, k int64) error, modes ...SweepMode) (SweepResult, error) {
+func Sweep(setup func() (*Device, func() error, error), check func(img *Device, k int64) error, modes ...SweepMode) (res SweepResult, err error) {
 	if len(modes) == 0 {
 		modes = []SweepMode{{Mode: CrashDropDirty}}
 	}
-	var res SweepResult
-	dev, op, err := setup()
+	sweepSlots <- struct{}{}
+	res.Total, err = sweepProbe(setup)
+	<-sweepSlots
 	if err != nil {
-		return res, fmt.Errorf("sweep setup: %w", err)
-	}
-	start := dev.PersistOps()
-	if err := op(); err != nil {
-		return res, fmt.Errorf("sweep probe: %w", err)
-	}
-	if res.Total = dev.PersistOps() - start; res.Total == 0 {
-		return res, fmt.Errorf("sweep: the op performed no persists")
+		return res, err
 	}
 	var points, images atomic.Int64
-	errs := make([]error, runtime.GOMAXPROCS(0))
+	errs := make([]error, min(runtime.GOMAXPROCS(0), cap(sweepSlots)))
 	par.Ranges(1, res.Total+1, len(errs), func(i int, lo, hi int64) {
 		for k := lo; k < hi; k++ {
+			sweepSlots <- struct{}{}
 			n, err := sweepPoint(setup, check, modes, k, res.Total)
+			<-sweepSlots
 			if err != nil { // a range stops at its lowest failing k
 				errs[i] = fmt.Errorf("k=%d/%d: %w", k, res.Total, err)
 				return
@@ -267,6 +263,31 @@ func Sweep(setup func() (*Device, func() error, error), check func(img *Device, 
 		}
 	}
 	return res, nil
+}
+
+// sweepSlots bounds the points all Sweeps in the process run at once.
+// Parallel tests each call Sweep, and every running point holds a work
+// device and its crash images, so one shared bound keeps peak memory and
+// CPU at about what the same tests held when each swept serially under
+// go test's default -parallel, and caps it at 4 on many-core hosts.
+var sweepSlots = make(chan struct{}, min(runtime.GOMAXPROCS(0), 4))
+
+// sweepProbe runs setup and the op once unarmed and returns the op's
+// persist-point count.
+func sweepProbe(setup func() (*Device, func() error, error)) (int64, error) {
+	dev, op, err := setup()
+	if err != nil {
+		return 0, fmt.Errorf("sweep setup: %w", err)
+	}
+	start := dev.PersistOps()
+	if err := op(); err != nil {
+		return 0, fmt.Errorf("sweep probe: %w", err)
+	}
+	total := dev.PersistOps() - start
+	if total == 0 {
+		return 0, fmt.Errorf("sweep: the op performed no persists")
+	}
+	return total, nil
 }
 
 // sweepPoint crashes the op at point k and checks the modes' images. It
