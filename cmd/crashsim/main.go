@@ -75,13 +75,18 @@ func main() {
 	}
 }
 
-const devSize = 48 << 20
+// The geometry every scenario's device has: samePrefixPages computes the
+// FACT prefix width from the same two values Mkfs gets.
+const (
+	devSize   = 48 << 20
+	maxInodes = 4096
+)
 
 // setup builds a dirty (never cleanly unmounted) base image with the given
 // populate function applied and all dedup drained.
 func setup(populate func(fs *denova.FS) error) (*pmem.Device, error) {
 	dev := denova.NewDevice(devSize, denova.ProfileZero)
-	fs, err := denova.Mkfs(dev, denova.Config{Mode: denova.ModeImmediate, NoDaemon: true})
+	fs, err := denova.Mkfs(dev, denova.Config{Mode: denova.ModeImmediate, NoDaemon: true, MaxInodes: maxInodes})
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +301,7 @@ func sweepReorder() (pmem.SweepResult, int64, error) {
 // one FACT prefix at this device's geometry, found by hashing pages of
 // seeded random content until one prefix has collected n.
 func samePrefixPages(n int) ([][]byte, error) {
-	g, err := nova.ComputeGeometry(devSize, 4096) // denova.Config's default MaxInodes
+	g, err := nova.ComputeGeometry(devSize, maxInodes)
 	if err != nil {
 		return nil, err
 	}

@@ -431,10 +431,19 @@ func TestReorderCrashSweep(t *testing.T) {
 	t.Parallel()
 	// Crash at every persist point inside ReorderChain; after recovery the
 	// chain must contain exactly the same entries, consistently linked.
-	build := func() (*pmem.Device, *Table, error) {
-		dev, tab, err := commitAll(20, 1, 2, 3, 4, 5)
+	// build commits five entries into chain 20, recording their indices in
+	// members, and gives them varied RFCs so a reorder moves entries.
+	build := func(members map[uint64]bool) (*pmem.Device, *Table, error) {
+		dev, tab, err := commitAll(20)
 		for i := byte(1); i <= 5 && err == nil; i++ {
-			for r := 0; r < int(i) && err == nil; r++ { // varied RFCs force a real reorder
+			var res TxnResult
+			if res, err = tab.BeginTxn(fpWithPrefix(20, i), tDataStart+uint64(i)); err == nil {
+				tab.CommitTxn(res.Idx)
+				members[res.Idx] = true
+			}
+		}
+		for i := byte(1); i <= 5 && err == nil; i++ {
+			for r := 0; r < int(i) && err == nil; r++ {
 				var d TxnResult
 				if d, err = tab.BeginTxn(fpWithPrefix(20, i), tDataStart+60); err == nil {
 					tab.CommitTxn(d.Idx)
@@ -443,15 +452,14 @@ func TestReorderCrashSweep(t *testing.T) {
 		}
 		return dev, tab, err
 	}
-	_, tab, err := build()
-	if err != nil {
+	members := map[uint64]bool{}
+	if _, _, err := build(members); err != nil {
 		t.Fatal(err)
 	}
-	members := map[uint64]bool{}
-	for _, idx := range tab.ChainOf(20) {
-		members[idx] = true
+	if len(members) != 5 {
+		t.Fatalf("chain 20 has %d distinct entries, want 5", len(members))
 	}
-	sweepTable(t, build, func(tab *Table) error {
+	sweepTable(t, func() (*pmem.Device, *Table, error) { return build(map[uint64]bool{}) }, func(tab *Table) error {
 		if !tab.ReorderChain(20) {
 			return fmt.Errorf("reorder was a no-op; test needs a real reorder")
 		}
