@@ -431,6 +431,7 @@ func TestReorderCrashSweep(t *testing.T) {
 	t.Parallel()
 	// Crash at every persist point inside ReorderChain; after recovery the
 	// chain must contain exactly the same entries, consistently linked.
+	//
 	// build commits five entries into chain 20, recording their indices in
 	// members, and gives them varied RFCs so a reorder moves entries.
 	build := func(members map[uint64]bool) (*pmem.Device, *Table, error) {
